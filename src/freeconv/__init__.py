@@ -29,7 +29,7 @@ from .stieltjes import (DensityTable, atom_mass, build_density_table,
                         density_from_G, example_density_cauchy_mix,
                         example_density_halfstable, quadrature,
                         tail_density_series)
-from .transforms import (ResidualReport, STransformSample, chi_numeric,
+from .transforms import (ResidualReport, chi_numeric,
                          mp_r_transform, mp_s_transform, psi_from_G,
                          psi_symmetric_from_G, r_transform, s_mu2_closed,
                          s_stable_closed, s_transform_numeric,

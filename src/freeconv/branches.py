@@ -35,6 +35,12 @@ def on_principal_cut(z):
     return (np.abs(z.imag) <= CUT_TOL) & (z.real <= CUT_TOL)
 
 
+def _scalar(out):
+    """A 0-d result as a Python scalar; arrays pass through."""
+    out = np.asarray(out)
+    return out.item() if out.ndim == 0 else out
+
+
 def _log_upper_raw(z):
     # arg in (0, 2*pi): lift the principal angle when it is <= 0.  For points
     # grazing the cut from below the lift can round to exactly 2*pi; clamp
@@ -54,44 +60,47 @@ def _log_principal_raw(z):
     return np.log(np.abs(z)) + 1j * ang
 
 
+def _branch_log(w, ok, track=False, upper=False):
+    """(log w, ok) on the principal or (upper=True) the upper-cut branch;
+    points on the cut are masked.  With track, the argument is instead
+    continued down axis 0 from the first row (lifted into (0, 2*pi] for
+    the upper branch) and nothing is masked."""
+    if track:
+        th = np.unwrap(np.angle(w), axis=0)
+        if upper:
+            th = th + np.where(th[0] <= 0.0, 2.0 * np.pi, 0.0)
+        return np.log(np.abs(w)) + 1j * th, ok
+    ok = ok & ~(on_upper_cut(w) if upper else on_principal_cut(w))
+    w = np.where(ok, w, 1j if upper else 1.0)
+    return (_log_upper_raw(w) if upper else _log_principal_raw(w)), ok
+
+
+def _unmasked(vals, ok):
+    """vals, or BranchCutError when any point of it was masked."""
+    if not np.all(ok):
+        raise BranchCutError("a point or an intermediate value landed on a "
+                             "branch cut")
+    return vals
+
+
 def log_upper(z):
     """log with arg in (0, 2*pi).  Raises BranchCutError on [0, inf)."""
-    z = np.asarray(z, dtype=complex)
-    bad = on_upper_cut(z)
-    if np.any(bad):
-        raise BranchCutError("point on the cut [0, inf) of log_upper")
-    out = _log_upper_raw(z)
-    return out if out.ndim else complex(out)
+    return _scalar(_unmasked(*_branch_log(z, True, upper=True)))
 
 
 def log_principal(z):
     """log with arg in (-pi, pi].  Raises BranchCutError on (-inf, 0]."""
-    z = np.asarray(z, dtype=complex)
-    bad = on_principal_cut(z)
-    if np.any(bad):
-        raise BranchCutError("point on the cut (-inf, 0] of log_principal")
-    out = _log_principal_raw(z)
-    return out if out.ndim else complex(out)
+    return _scalar(_unmasked(*_branch_log(z, True)))
 
 
 def pow_upper(z, p):
     """z**p via log_upper."""
-    z = np.asarray(z, dtype=complex)
-    bad = on_upper_cut(z)
-    if np.any(bad):
-        raise BranchCutError("point on the cut [0, inf) of pow_upper")
-    out = np.exp(p * _log_upper_raw(z))
-    return out if out.ndim else complex(out)
+    return _scalar(np.exp(p * log_upper(z)))
 
 
 def pow_principal(z, p):
     """z**p via log_principal."""
-    z = np.asarray(z, dtype=complex)
-    bad = on_principal_cut(z)
-    if np.any(bad):
-        raise BranchCutError("point on the cut (-inf, 0] of pow_principal")
-    out = np.exp(p * _log_principal_raw(z))
-    return out if out.ndim else complex(out)
+    return _scalar(np.exp(p * log_principal(z)))
 
 
 def binom_coeff(p, m):

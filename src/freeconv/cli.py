@@ -18,11 +18,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import FreeconvError
-from .family import (FamilyParams, cauchy_G, default_cone, inverse_F,
+from .errors import DomainError, FreeconvError
+from .family import (FamilyParams, _worst, cauchy_G, default_cone, inverse_F,
                      reciprocal_F, verification_cone, verify_composition,
                      verify_self_similarity, voiculescu_phi)
-from .fid import check_fid_grid, levy_triplet
+from .fid import _thread_count, check_fid_grid, levy_triplet
 from .stable_poisson import StableParams, mp_density, stable_density
 from .stieltjes import (DensityTable, build_density_table,
                         closed_beta_density, closed_symmetric_beta_density,
@@ -59,6 +59,28 @@ def _config_error(msg):
     raise _ConfigError(msg)
 
 
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            val = int(text)
+        except ValueError:
+            val = lo - 1
+        if val < lo:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {lo}, got {text!r}")
+        return val
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as one config-error line (exit 2), not as a
+    usage block."""
+
+    def error(self, message):
+        raise _ConfigError(message)
+
+
 def _write_atomic(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -86,6 +108,14 @@ def _resolve_s(args):
     if args.s_mod is not None:
         return args.s_mod * complex(np.exp(1j * (args.s_arg or 0.0)))
     return None
+
+
+def _family(args):
+    """FamilyParams from --alpha, --s (or --s-mod/--s-arg) and --r."""
+    s = _resolve_s(args)
+    if args.alpha is None or s is None or args.r is None:
+        _config_error("--alpha, --s and --r are required")
+    return FamilyParams(args.alpha, s, args.r)
 
 
 def _run_config(args, fields):
@@ -123,9 +153,7 @@ def cmd_density(args):
         return _config_error(f"--alpha and --s are required for "
                              f"measure {measure!r}")
     if measure == "family":
-        if args.r is None:
-            return _config_error("--r is required for measure 'family'")
-        params = FamilyParams(args.alpha, s, args.r)
+        params = _family(args)
         table = build_density_table(lambda z: cauchy_G(params, z), xs,
                                     y0=args.y0, levels=args.levels)
     else:
@@ -160,15 +188,12 @@ def cmd_density(args):
 
 
 def cmd_levy(args):
-    s = _resolve_s(args)
-    if args.alpha is None or s is None or args.r is None:
-        return _config_error("--alpha, --s and --r are required")
-    params = FamilyParams(args.alpha, s, args.r)
+    params = _family(args)
     trip = levy_triplet(params, args.xmin, args.xmax, args.n,
                         y0=args.y0, levels=args.levels)
     cfg = _run_config(args, ["alpha", "r", "xmin", "xmax", "n", "y0",
                              "levels", "format"])
-    cfg["s"] = _complex_str(s)
+    cfg["s"] = _complex_str(params.s)
     if args.format == "json":
         payload = {"config": cfg, "gamma": trip.gamma, "a": trip.a,
                    "nu": trip.nu.to_dict()}
@@ -181,12 +206,13 @@ def cmd_levy(args):
 
 
 def cmd_fid(args):
-    s = _resolve_s(args)
-    if args.alpha is None or s is None or args.r is None:
-        return _config_error("--alpha, --s and --r are required")
+    params = _family(args)
     if args.format != "json":
         return _config_error("fid reports are JSON only")
-    params = FamilyParams(args.alpha, s, args.r)
+    try:
+        _thread_count()
+    except DomainError as exc:
+        return _config_error(str(exc))
     given = [args.xmin, args.xmax, args.ymin, args.ymax]
     rect = None
     if any(v is not None for v in given):
@@ -197,7 +223,7 @@ def cmd_fid(args):
     report = check_fid_grid(params, rect=rect, nx=args.nx, ny=args.ny,
                             tol=args.tol)
     cfg = _run_config(args, ["alpha", "r", "nx", "ny", "tol", "format"])
-    cfg["s"] = _complex_str(s)
+    cfg["s"] = _complex_str(params.s)
     payload = {"config": cfg, "report": report.to_dict()}
     _write_atomic(args.out,
                   json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -216,99 +242,73 @@ _CPOISSON_SETS = [(2.0, 1.0 + 0j), (1.0, 1j), (0.5, -1.0 + 0j)]
 _BOXTIMES_SETS = [(2.0, 1.0 + 0j), (0.5, -1.0 + 0j)]
 
 
-def _suite_composition(tol):
-    out = []
+def _cone_spec(grid):
+    return {"kind": "cone", "n": int(grid.size)}
+
+
+# each suite yields (params, grid_spec, (max_residual, argmax_point))
+def _suite_composition():
     for alpha, s, r, u in _COMPOSITION_SETS:
         grid = verification_cone(alpha, s, complex(s) * u).sample(300)
-        res, arg = verify_composition(alpha, s, r, u, grid,
-                                      return_argmax=True)
-        out.append(ResidualReport(
-            identity="composition", params={"alpha": alpha,
-                                            "s": _complex_str(s),
-                                            "r": r, "u": u},
-            grid_spec={"kind": "cone", "n": int(grid.size)},
-            max_residual=res, argmax_point=arg, tolerance=tol,
-            passed=res < tol))
-    return out
+        yield ({"alpha": alpha, "s": _complex_str(s), "r": r, "u": u},
+               _cone_spec(grid), verify_composition(alpha, s, r, u, grid,
+                                                    return_argmax=True))
 
 
-def _suite_selfsim(tol):
-    out = []
+def _suite_selfsim():
     for alpha, s, r, c in _SELFSIM_SETS:
-        params = FamilyParams(alpha, s, r)
         grid = default_cone(alpha, s, r).sample(300)
-        res, arg = verify_self_similarity(params, c, grid,
-                                          return_argmax=True)
-        out.append(ResidualReport(
-            identity="self-similarity", params={"alpha": alpha,
-                                                "s": _complex_str(s),
-                                                "r": r, "c": c},
-            grid_spec={"kind": "cone", "n": int(grid.size)},
-            max_residual=res, argmax_point=arg, tolerance=tol,
-            passed=res < tol))
-    return out
+        yield ({"alpha": alpha, "s": _complex_str(s), "r": r, "c": c},
+               _cone_spec(grid),
+               verify_self_similarity(FamilyParams(alpha, s, r), c, grid,
+                                      return_argmax=True))
 
 
-def _suite_cpoisson(tol):
-    out = []
+def _suite_cpoisson():
     for alpha, s in _CPOISSON_SETS:
         grid = verification_cone(alpha, s).sample(300)
-        res, arg = verify_compound_poisson(alpha, s, grid,
-                                           return_argmax=True)
-        out.append(ResidualReport(
-            identity="compound-poisson", params={"alpha": alpha,
-                                                 "s": _complex_str(s)},
-            grid_spec={"kind": "cone", "n": int(grid.size)},
-            max_residual=res, argmax_point=arg, tolerance=tol,
-            passed=res < tol))
-    return out
+        yield ({"alpha": alpha, "s": _complex_str(s)}, _cone_spec(grid),
+               verify_compound_poisson(alpha, s, grid, return_argmax=True))
 
 
-def _suite_boxtimes(tol):
-    out = []
+def _suite_boxtimes():
     zs = np.linspace(-0.9, -0.1, 9)
     for alpha, s in _BOXTIMES_SETS:
-        res, arg = verify_boxtimes(alpha, s, zs, return_argmax=True)
-        out.append(ResidualReport(
-            identity="multiplicative-factorization",
-            params={"alpha": alpha, "s": _complex_str(s)},
-            grid_spec={"kind": "interval", "zmin": -0.9, "zmax": -0.1,
-                       "n": 9},
-            max_residual=res,
-            argmax_point=None if arg is None else complex(arg),
-            tolerance=tol, passed=res < tol))
-    return out
+        yield ({"alpha": alpha, "s": _complex_str(s)},
+               {"kind": "interval", "zmin": -0.9, "zmax": -0.1, "n": 9},
+               verify_boxtimes(alpha, s, zs, return_argmax=True))
 
 
-def _suite_inversion(tol):
-    out = []
+def _suite_inversion():
     xs = np.linspace(0.05, 0.95, 19)
     params = FamilyParams(1.0, -1.0, 2.0)
     table = build_density_table(lambda z: cauchy_G(params, z), xs)
-    res = float(np.max(np.abs(table.values - closed_beta_density(2.0, xs))))
-    k = int(np.argmax(np.abs(table.values - closed_beta_density(2.0, xs))))
-    out.append(ResidualReport(
-        identity="inversion-consistency",
-        params={"alpha": 1.0, "s": _complex_str(-1.0), "r": 2.0},
-        grid_spec={"kind": "interval", "xmin": 0.05, "xmax": 0.95, "n": 19},
-        max_residual=res, argmax_point=complex(xs[k]), tolerance=tol,
-        passed=res < tol))
-    return out
+    yield ({"alpha": 1.0, "s": _complex_str(-1.0), "r": 2.0},
+           {"kind": "interval", "xmin": 0.05, "xmax": 0.95, "n": 19},
+           _worst(np.abs(table.values - closed_beta_density(2.0, xs)), xs,
+                  return_argmax=True))
 
 
-_SUITES = {"composition": (_suite_composition, 1e-10),
-           "self-similarity": (_suite_selfsim, 1e-11),
-           "compound-poisson": (_suite_cpoisson, 1e-10),
-           "boxtimes": (_suite_boxtimes, 1e-6),
-           "inversion": (_suite_inversion, 1e-4)}
+# suite name -> (parameter sets, identity checked, default tolerance)
+_SUITES = {"composition": (_suite_composition, "composition", 1e-10),
+           "self-similarity": (_suite_selfsim, "self-similarity", 1e-11),
+           "compound-poisson": (_suite_cpoisson, "compound-poisson", 1e-10),
+           "boxtimes": (_suite_boxtimes, "multiplicative-factorization",
+                        1e-6),
+           "inversion": (_suite_inversion, "inversion-consistency", 1e-4)}
 
 
 def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        fn, default_tol = _SUITES[name]
-        results += fn(args.tol if args.tol is not None else default_tol)
+        sets, identity, default_tol = _SUITES[name]
+        tol = args.tol if args.tol is not None else default_tol
+        for params, grid_spec, (res, arg) in sets():
+            results.append(ResidualReport(
+                identity=identity, params=params, grid_spec=grid_spec,
+                max_residual=res, argmax_point=complex(arg), tolerance=tol,
+                passed=res < tol))
     cfg = _run_config(args, ["suite", "tol", "format"])
     passed = all(r.passed for r in results)
     payload = {"config": cfg, "passed": passed,
@@ -337,9 +337,7 @@ def cmd_eval(args):
         print(f"{_fmt(val.real)} {_fmt(val.imag)}")
         print(f"# closed form {_fmt(closed.real)} {_fmt(closed.imag)}")
         return 0
-    if args.r is None:
-        return _config_error("--r is required")
-    params = FamilyParams(args.alpha, s, args.r)
+    params = _family(args)
     fn = {"G": cauchy_G, "F": reciprocal_F, "Finv": inverse_F,
           "phi": voiculescu_phi}.get(t)
     if fn is not None:
@@ -363,8 +361,19 @@ def _add_param_opts(p, with_r=True):
         p.add_argument("--r", type=float, help="shape parameter, r > 0")
 
 
+def _add_table_opts(p):
+    p.add_argument("--xmin", type=float, required=True)
+    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--n", type=_int_at_least(1), default=101)
+    p.add_argument("--y0", type=float, default=None,
+                   help="top of the extrapolation ladder")
+    p.add_argument("--format", default="csv",
+                   choices=["csv", "json", "plotdata"])
+    p.add_argument("--out", default="-")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="freeconv",
         description="Explicit Cauchy transforms, densities and free "
                     "infinite divisibility reports for a two-parameter "
@@ -376,27 +385,15 @@ def build_parser():
     p.add_argument("--measure", default="family",
                    choices=["family", "stable", "mp", "beta",
                             "symmetric-beta", "cauchy-mix", "half-stable"])
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--n", type=int, default=101)
-    p.add_argument("--y0", type=float, default=None,
-                   help="top of the extrapolation ladder")
-    p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--format", default="csv",
-                   choices=["csv", "json", "plotdata"])
-    p.add_argument("--out", default="-")
+    _add_table_opts(p)
+    p.add_argument("--levels", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("levy", help="generating triplet on a window")
     _add_param_opts(p)
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--n", type=int, default=101)
-    p.add_argument("--y0", type=float, default=None)
-    p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--format", default="csv",
-                   choices=["csv", "json", "plotdata"])
-    p.add_argument("--out", default="-")
+    _add_table_opts(p)
+    # levy_triplet reads the atom at 0 off a policed ladder (4+ rungs)
+    p.add_argument("--levels", type=_int_at_least(3), default=8)
     p.set_defaults(func=cmd_levy)
 
     p = sub.add_parser("fid", help="scan Im phi for divisibility violations")
@@ -405,8 +402,8 @@ def build_parser():
     p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--ymin", type=float, default=None)
     p.add_argument("--ymax", type=float, default=None)
-    p.add_argument("--nx", type=int, default=400)
-    p.add_argument("--ny", type=int, default=200)
+    p.add_argument("--nx", type=_int_at_least(2), default=400)
+    p.add_argument("--ny", type=_int_at_least(2), default=200)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", default="json", choices=["json"])
     p.add_argument("--out", default="-")
@@ -431,13 +428,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FreeconvError as exc:
+    except (FreeconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import (CUT_TOL, _log_principal_raw, _log_upper_raw,
-                       binom_coeff, on_principal_cut, on_upper_cut)
+from .branches import (CUT_TOL, _branch_log, _log_upper_raw, _scalar,
+                       _unmasked, binom_coeff)
 from .errors import AdmissibilityError, BranchCutError, DomainError
 
 # tolerance for angle comparisons against the admissible-sector boundary
@@ -91,7 +91,7 @@ class TruncatedCone:
     def contains(self, z):
         z = np.asarray(z, dtype=complex)
         inside = (z.imag > self.M) & (z.imag > self.eta * np.abs(z.real))
-        return bool(inside) if inside.ndim == 0 else inside
+        return _scalar(inside)
 
     def sample(self, n):
         """Deterministic grid of about n points inside the cone."""
@@ -131,38 +131,63 @@ def verification_cone(alpha, *scales, eta=1.0):
     return TruncatedCone(eta=eta, M=m)
 
 
-def _core(alpha, s, r, z):
+def _stage1(alpha, s, z):
+    """The masked first stage w = 1 - s*(-1/z)**alpha (upper-cut power);
+    returns (w, ok).  Never raises: invalid z or -1/z on the cut is masked.
+    """
+    z = np.asarray(z, dtype=complex)
+    ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
+    lu, ok = _branch_log(-1.0 / np.where(ok, z, 1j), ok, upper=True)
+    return 1.0 - s * np.exp(alpha * lu), ok
+
+
+def _core(alpha, s, r, z, track=False):
     """Branch-resolved evaluation of the composition; returns (G, ok).
 
     Never raises: points where an intermediate lands on a cut (or the input
     is invalid) come back masked with ok=False and value NaN.  Vectorized
-    over z.
+    over z.  With track=True, z is a grid whose rows descend a path and the
+    arguments of both power bases are continued down its columns instead
+    of being cut (see _phi_tracked_block).
     """
     z = np.asarray(z, dtype=complex)
-    ok = np.isfinite(z.real) & np.isfinite(z.imag) & (np.abs(z) > CUT_TOL)
-    safe = np.where(ok, z, 1j)
-    if r == 1.0:
+    if r == 1.0 and not track:
         # the chain collapses algebraically to 1/z (point mass at zero)
-        g = 1.0 / safe
+        ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
+        g = 1.0 / np.where(ok, z, 1j)
         return np.where(ok, g, complex(np.nan, np.nan)), ok
-    u = -1.0 / safe
-    ok &= ~on_upper_cut(u)
-    u = np.where(ok, u, 1j)
-    w1 = np.exp(alpha * _log_upper_raw(u))
-    w2 = 1.0 - s * w1
-    ok &= ~on_principal_cut(w2)
-    w2 = np.where(ok, w2, 1.0)
-    w3 = np.exp(_log_principal_raw(w2) / r)
-    w4 = (1.0 - w3) / s
-    ok &= ~on_upper_cut(w4)
-    w4 = np.where(ok, w4, 1j)
-    g = -(r ** (1.0 / alpha)) * np.exp(_log_upper_raw(w4) / alpha)
-    ok &= np.isfinite(g.real) & np.isfinite(g.imag)
+    w2, ok = _stage1(alpha, s, z)
+    l2, ok = _branch_log(w2, ok, track)
+    l4, ok = _branch_log((1.0 - np.exp(l2 / r)) / s, ok, track, upper=True)
+    g = -(r ** (1.0 / alpha)) * np.exp(l4 / alpha)
+    ok &= np.isfinite(g)
     return np.where(ok, g, complex(np.nan, np.nan)), ok
 
 
-def _scalarize(arr):
-    return complex(arr) if arr.ndim == 0 else arr
+def _F_masked(alpha, s, r, z, track=False):
+    """(F = 1/G, ok) over z without raising; masked points are NaN."""
+    vals, ok = _core(alpha, s, r, z, track)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = 1.0 / vals
+    ok &= np.isfinite(f)
+    return np.where(ok, f, complex(np.nan, np.nan)), ok
+
+
+def _worst(res, pts, return_argmax):
+    """max(res), paired with the point of pts where it is attained when
+    return_argmax is set."""
+    k = int(np.argmax(res))
+    if return_argmax:
+        return float(res.flat[k]), np.asarray(pts).flat[k].item()
+    return float(res.flat[k])
+
+
+def _upper(z):
+    """z as a complex array; it must lie in the open upper half-plane."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z.imag <= 0):
+        raise DomainError("z must lie in the open upper half-plane")
+    return z
 
 
 def cauchy_G(params, z):
@@ -173,33 +198,22 @@ def cauchy_G(params, z):
     """
     if params.r < 1.0:
         raise DomainError("cauchy_G needs r >= 1; use inverse_F for r < 1")
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    vals, ok = _core(params.alpha, params.s, params.r, z)
-    if not np.all(ok):
-        raise BranchCutError("an intermediate landed on a branch cut")
-    return _scalarize(vals)
+    return _scalar(_unmasked(*_core(params.alpha, params.s, params.r,
+                                    _upper(z))))
 
 
 def _map_F(alpha, s, r, z):
     # F = 1/G as an analytic map, any r > 0; no half-plane or r gate.
     if r == 1.0:
         return np.asarray(z, dtype=complex) + 0.0  # identity, exactly
-    vals, ok = _core(alpha, s, r, z)
-    if not np.all(ok):
-        raise BranchCutError("an intermediate landed on a branch cut")
-    return 1.0 / vals
+    return _unmasked(*_F_masked(alpha, s, r, z))
 
 
 def reciprocal_F(params, z):
     """F = 1/G; a self-map of the upper half-plane for r >= 1."""
     if params.r < 1.0:
         raise DomainError("reciprocal_F needs r >= 1; use inverse_F for r < 1")
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    return _scalarize(_map_F(params.alpha, params.s, params.r, z))
+    return _scalar(_map_F(params.alpha, params.s, params.r, _upper(z)))
 
 
 def inverse_F(params, z):
@@ -209,18 +223,14 @@ def inverse_F(params, z):
     it is still a well-defined analytic expression wherever no intermediate
     hits a branch cut and the inner expression has no zero.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    return _scalarize(_map_F(params.alpha, params.s / params.r,
-                             1.0 / params.r, z))
+    return _scalar(_map_F(params.alpha, params.s / params.r,
+                          1.0 / params.r, _upper(z)))
 
 
 def voiculescu_phi(params, z):
     """phi(z) = inverse_F(z) - z; additive under free convolution."""
-    z = np.asarray(z, dtype=complex)
-    out = np.asarray(inverse_F(params, z), dtype=complex) - z
-    return _scalarize(out)
+    z = _upper(z)
+    return _scalar(np.asarray(inverse_F(params, z)) - z)
 
 
 def phi_masked(params, z):
@@ -230,11 +240,8 @@ def phi_masked(params, z):
     _phi_tracked_block, which continue the cone values analytically.
     """
     z = np.asarray(z, dtype=complex)
-    vals, ok = _core(params.alpha, params.s / params.r, 1.0 / params.r, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = 1.0 / vals - z
-    ok &= np.isfinite(phi.real) & np.isfinite(phi.imag)
-    return np.where(ok, phi, complex(np.nan, np.nan)), ok
+    f, ok = _F_masked(params.alpha, params.s / params.r, 1.0 / params.r, z)
+    return f - z, ok
 
 
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):
@@ -247,51 +254,43 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     therefore starts inside the cone and the arguments of both power bases
     are lifted continuously (numpy unwrap) along a dense geometric descent,
     staying on the sheet that continues the cone values.  ys_desc must be
-    positive and strictly decreasing.  Returns (phi, ok) with rows matching
-    ys_desc; a column is masked below any point where the continuation
-    degenerates (zero or infinity in an intermediate).
+    finite, positive and strictly decreasing.  Returns (phi, ok) with rows
+    matching ys_desc; a column is masked below any point where the
+    continuation degenerates (zero or infinity in an intermediate).
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys_desc = np.asarray(ys_desc, dtype=float).ravel()
-    if ys_desc.size == 0 or np.any(ys_desc <= 0.0) or \
-            (ys_desc.size > 1 and np.any(np.diff(ys_desc) >= 0.0)):
-        raise DomainError("ys must be positive and strictly decreasing")
-    sp = complex(s) / r
-    rp = 1.0 / r
+    if not (ys_desc.size and np.all(np.isfinite(ys_desc) & (ys_desc > 0.0))
+            and np.all(np.diff(ys_desc) < 0.0)):
+        raise DomainError("ys must be finite, positive and strictly "
+                          "decreasing")
+    sp, rp = complex(s) / r, 1.0 / r
     scale = max(1.0, abs(complex(s)) ** (1.0 / alpha),
                 abs(sp) ** (1.0 / alpha)) * max(1.0, r, rp)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
-    n_dense = max(48, int(24.0 * np.log10(y_top / float(ys_desc[-1]))) + 1)
+    # difference of logs: the ratio overflows for subnormal ys
+    n_dense = max(48, int(24.0 * (np.log10(y_top)
+                                  - np.log10(ys_desc[-1]))) + 1)
     path = np.unique(np.concatenate(
         [np.geomspace(y_top, float(ys_desc[-1]), n_dense), ys_desc]))[::-1]
     Z = xs[None, :] + 1j * path[:, None]
     with np.errstate(all="ignore"):
-        w1 = np.exp(alpha * _log_upper_raw(-1.0 / Z))
-        w2 = 1.0 - sp * w1
-        th2 = np.unwrap(np.angle(w2), axis=0)
-        B = np.exp((1.0 / rp) * (np.log(np.abs(w2)) + 1j * th2))
-        D = (1.0 - B) / sp
-        thD = np.unwrap(np.angle(D), axis=0)
-        # lift the top row into (0, 2*pi] to match the upper-cut power
-        thD = thD + np.where(thD[0] <= 0.0, 2.0 * np.pi, 0.0)[None, :]
-        f_inv = -(rp ** (-1.0 / alpha)) * np.exp(
-            -(np.log(np.abs(D)) + 1j * thD) / alpha)
-        phi = f_inv - Z
-    ok = np.isfinite(phi.real) & np.isfinite(phi.imag)
-    phi = np.where(ok, phi, complex(np.nan, np.nan))
+        f_inv, ok = _F_masked(alpha, sp, rp, Z, track=True)
+    phi = f_inv - Z
     idx = np.searchsorted(-path, -ys_desc)
     return phi[idx, :], ok[idx, :]
 
 
 def phi_boundary(params, x, ys_desc):
     """phi at x + i*y down a decreasing ladder ys_desc, evaluated on the
-    analytic-continuation sheet (see _phi_tracked_block)."""
+    analytic-continuation sheet (see _phi_tracked_block).  Rows follow
+    ys_desc; an array x gives one column per point."""
     phi, ok = _phi_tracked_block(params.alpha, params.s, params.r,
-                                 np.asarray([float(x)]), ys_desc)
+                                 np.asarray(x, dtype=float), ys_desc)
     if not np.all(ok):
         raise BranchCutError("continuation degenerated along the descent")
-    return phi[:, 0]
+    return phi[:, 0] if np.ndim(x) == 0 else phi
 
 
 def series_coefficients(params, N):
@@ -328,11 +327,8 @@ def series_G(params, z, N):
     Valid where |s*(-1/z)**alpha| / r is small (inside default_cone); the
     direct composition cauchy_G is the reference elsewhere.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    u = -1.0 / z
-    t = np.exp(params.alpha * _log_upper_raw(u))
+    z = _upper(z)
+    t = np.exp(params.alpha * _log_upper_raw(-1.0 / z))
     w = params.s * t / params.r
     if np.any(np.abs(w) >= 1.0):
         raise DomainError("outside the series region: need |s*(-1/z)^alpha/r| < 1")
@@ -341,7 +337,7 @@ def series_G(params, z, N):
     for cn in c[::-1]:
         acc = acc * t + cn
     out = acc / z
-    return _scalarize(np.asarray(out))
+    return _scalar(out)
 
 
 def verify_composition(alpha, s, r, u, grid, return_argmax=False):
@@ -350,11 +346,7 @@ def verify_composition(alpha, s, r, u, grid, return_argmax=False):
     inner = _map_F(alpha, u * s, u, grid)
     lhs = _map_F(alpha, s, r, inner)
     rhs = _map_F(alpha, u * s, u * r, grid)
-    res = np.abs(lhs - rhs)
-    k = int(np.argmax(res))
-    if return_argmax:
-        return float(res.flat[k]), complex(grid.flat[k])
-    return float(res.flat[k])
+    return _worst(np.abs(lhs - rhs), grid, return_argmax)
 
 
 def verify_self_similarity(params, c, grid, return_argmax=False):
@@ -370,8 +362,5 @@ def verify_self_similarity(params, c, grid, return_argmax=False):
     scaled = FamilyParams(params.alpha, c * params.s, params.r)
     lhs = cauchy_G(scaled, b * grid)
     rhs = cauchy_G(params, grid) / b
-    res = np.abs(np.asarray(lhs) - np.asarray(rhs))
-    k = int(np.argmax(res))
-    if return_argmax:
-        return float(res.flat[k]), complex(grid.flat[k])
-    return float(res.flat[k])
+    return _worst(np.abs(np.asarray(lhs) - np.asarray(rhs)), grid,
+                  return_argmax)

@@ -16,19 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .branches import pow_principal, pow_upper
+from .branches import _branch_log, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
-from .family import _core, _phi_tracked_block, phi_boundary
-from .stieltjes import DensityTable, _richardson, _richardson_vec
+from .family import (_F_masked, _phi_tracked_block, _stage1, _worst,
+                     phi_boundary)
+from .stieltjes import DensityTable, _ladder, _richardson
 
 _GAUSS_N = 200
 
 
 def _thread_count():
-    env = os.environ.get("FREECONV_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    """Worker threads for the fid scan: FREECONV_THREADS (an integer >= 1)
+    or 4, capped at the CPU count."""
+    env = os.environ.get("FREECONV_THREADS", "")
+    if env and not (env.strip().isdigit() and int(env) >= 1):
+        raise DomainError(f"FREECONV_THREADS must be an integer >= 1, "
+                          f"got {env!r}")
+    return min(int(env) if env else 4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -111,19 +115,17 @@ def _phi_im_grid(params, xs, ys):
 def _confirm_violation(params, xs, ys, i, j, tol):
     """Re-test a flagged grid point on a 4x-refined local patch; returns
     (witness, im_phi) or None if the flag does not persist."""
-    dx = xs[1] - xs[0] if len(xs) > 1 else max(1.0, abs(xs[0]))
+    dx = xs[1] - xs[0]
     x0, y0 = xs[j], ys[i]
     fx = np.linspace(x0 - dx, x0 + dx, 9)
     fy = np.geomspace(2.0 * y0, max(y0 / 2.0, 1e-300), 9)
     phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, fx, fy)
-    im = phi.imag
-    Z = fx[None, :] + 1j * fy[:, None]
-    good = ok & (im > tol)
+    good = ok & (phi.imag > tol)
     if not np.any(good):
         return None
-    k = int(np.argmax(np.where(good, im, -np.inf)))
-    zi, zj = np.unravel_index(k, Z.shape)
-    return complex(Z[zi, zj]), float(im[zi, zj])
+    im, z = _worst(np.where(good, phi.imag, -np.inf),
+                   fx[None, :] + 1j * fy[:, None], return_argmax=True)
+    return z, im
 
 
 def check_fid_grid(params, rect=None, nx=400, ny=200, tol=1e-9):
@@ -139,6 +141,8 @@ def check_fid_grid(params, rect=None, nx=400, ny=200, tol=1e-9):
     xmin, xmax, ymin, ymax = rect
     if not (xmin < xmax and 0.0 < ymin < ymax):
         raise DomainError("need xmin < xmax and 0 < ymin < ymax")
+    if nx < 2 or ny < 2:
+        raise DomainError("the scan grid needs nx >= 2 and ny >= 2")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.geomspace(ymin, ymax, ny)
     im, ok = _phi_im_grid(params, xs, ys)
@@ -200,10 +204,8 @@ def e_function(alpha, s, r, z):
     sense, so a zero of E inside the upper half-plane is a pole of the
     inverse map and rules out free infinite divisibility.
     """
-    z = np.asarray(z, dtype=complex)
-    w = 1.0 - (s / r) * pow_upper(-1.0 / z, alpha)
-    out = (1.0 - pow_principal(w, r)) / s
-    return out if isinstance(out, np.ndarray) else complex(out)
+    lw = _unmasked(*_branch_log(*_stage1(alpha, s / r, z)))
+    return _scalar((1.0 - np.exp(r * lw)) / s)
 
 
 def find_E_zero(alpha, s, r, residual_tol=1e-10):
@@ -294,7 +296,7 @@ def phi_cubic(s0, z):
     if np.any(den == 0):
         raise DomainError("pole of the rational form")
     out = (-3.0 * s0 * z ** 2 - s0 ** 2 * z) / den
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def im_phi_cubic_pi2(x, y):
@@ -308,7 +310,7 @@ def im_phi_cubic_pi2(x, y):
     z = x + 1j * y
     den = np.abs(3.0 * z ** 2 + 3j * z - 1.0) ** 2
     out = -num / den
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def levy_cubic_closed(x):
@@ -316,7 +318,7 @@ def levy_cubic_closed(x):
     r = 3, s = 3i member (x != 0)."""
     x = np.asarray(x, dtype=float)
     out = 9.0 * x ** 2 / (np.pi * (9.0 * x ** 4 + 3.0 * x ** 2 + 1.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def levy_beta_closed(r, x):
@@ -332,11 +334,20 @@ def levy_beta_closed(r, x):
     den = (u ** (2.0 * r) - 2.0 * xs ** r * u ** r * np.cos(r * np.pi)
            + xs ** (2.0 * r))
     out = np.where(inside, num / den, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
+
+
+def _tau_density(params, xs, ladder, police=False):
+    """(f, err): the limit of -(1/pi) Im phi(x+iy) down the ladder at the
+    points xs, the density of (1 + x**2) tau(dx)."""
+    phi = phi_boundary(params, np.asarray(xs), ladder)
+    f, err = _richardson(-phi.imag / np.pi, police)
+    return f.real, err
 
 
 def levy_density_numeric(params, x, y0=None, levels=8):
-    """Levy density at x != 0 from boundary values of phi.
+    """Levy density at x != 0 from boundary values of phi: the length-1
+    form of levy_table, which also refuses divergent ladders.
 
     The extrapolated limit f(x) of -(1/pi) Im phi(x+iy) is the density of
     (1+x**2) tau(dx); the Levy density is f(x)/x**2.
@@ -344,12 +355,8 @@ def levy_density_numeric(params, x, y0=None, levels=8):
     x = float(x)
     if x == 0.0:
         raise DomainError("x = 0 is excluded")
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(x))
-    ys = y0 * 0.5 ** np.arange(levels + 1)
-    phi = phi_boundary(params, x, ys)
-    f, _err = _richardson(list(-phi.imag / np.pi))
-    return float(f.real) / x ** 2
+    f, _err = _tau_density(params, [x], _ladder(y0, levels, x), police=True)
+    return float(f[0]) / x ** 2
 
 
 def levy_table(params, xs, y0=None, levels=8):
@@ -357,16 +364,9 @@ def levy_table(params, xs, y0=None, levels=8):
     xs = np.asarray(xs, dtype=float)
     if np.any(np.abs(xs) < 1e-12):
         raise DomainError("grid must avoid x = 0")
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
-    ladder = y0 * 0.5 ** np.arange(levels + 1)
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
-                                 ladder)
-    if not np.all(ok):
-        raise ConvergenceError("continuation degenerated along the descent")
-    vals = [-phi[k, :].imag / np.pi for k in range(levels + 1)]
-    f, err = _richardson_vec(vals)
-    return DensityTable(xs=xs, values=f.real / xs ** 2,
+    ladder = _ladder(y0, levels, xs)
+    f, err = _tau_density(params, xs, ladder)
+    return DensityTable(xs=xs, values=f / xs ** 2,
                         errs=err / xs ** 2, y_ladder=ladder)
 
 
@@ -382,29 +382,19 @@ def tau_interval_mass(params, u, v, y0=None, levels=6):
     y ladder."""
     if not u < v:
         raise DomainError("need u < v")
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(u), abs(v))
     xs, ws = _gauss_nodes(float(u), float(v))
-    ladder = y0 * 0.5 ** np.arange(levels + 1)
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
-                                 ladder)
-    if not np.all(ok):
-        raise ConvergenceError("continuation degenerated along the descent")
-    out = [float(np.sum(ws * (-phi[k, :].imag / np.pi)))
-           for k in range(levels + 1)]
-    val, _err = _richardson(out)
+    phi = phi_boundary(params, xs, _ladder(y0, levels, (u, v)))
+    val, _err = _richardson(np.sum(ws * (-phi.imag / np.pi), axis=1),
+                            police=True)
     return float(val.real)
 
 
 def tau_atom(params, x, y0=None, levels=8):
     """tau({x}) = lim iy phi(x+iy) / (1 + x**2)."""
     x = float(x)
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(x))
-    ys = y0 * 0.5 ** np.arange(levels + 1)
+    ys = _ladder(y0, levels, x)
     phi = phi_boundary(params, x, ys)
-    vals = list(1j * ys * phi)
-    val, _err = _richardson(vals)
+    val, _err = _richardson(1j * ys * phi, police=True)
     if abs(val.imag) > 1e-6 * (1.0 + abs(val.real)):
         raise ConvergenceError("iy*phi(x+iy) kept an imaginary part")
     return float(val.real) / (1.0 + x ** 2)
@@ -431,20 +421,13 @@ def levy_triplet(params, xmin, xmax, n, y0=None, levels=8):
         raise DomainError("need xmin < xmax")
     xs = np.linspace(float(xmin), float(xmax), int(n))
     xs = xs[np.abs(xs) > 1e-12]
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(xmin), abs(xmax))
-    nu = levy_table(params, xs, y0=y0, levels=levels)
-    ladder = y0 * 0.5 ** np.arange(levels + 1)
+    ladder = _ladder(y0, levels, (xmin, xmax))
+    nu = levy_table(params, xs, y0=ladder[0], levels=levels)
     gx, gw = _gauss_nodes(float(xmin), float(xmax))
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, gx,
-                                 ladder)
-    if not np.all(ok):
-        raise ConvergenceError("continuation degenerated along the descent")
-    fvals = [-phi[k, :].imag / np.pi for k in range(levels + 1)]
-    f, _err = _richardson_vec(fvals)
-    moment = float(np.sum(gw * gx * f.real / (1.0 + gx ** 2)))
+    f, _err = _tau_density(params, gx, ladder)
+    moment = float(np.sum(gw * gx * f / (1.0 + gx ** 2)))
     gamma = float(_phi_at_i(params).real) + 2.0 * moment
-    a = tau_atom(params, 0.0, y0=y0, levels=levels)
+    a = tau_atom(params, 0.0, y0=ladder[0], levels=levels)
     return LevyTriplet(gamma=gamma, a=a, nu=nu)
 
 
@@ -454,7 +437,7 @@ def ui_counterexample_map(z):
     half-plane (it identifies pairs on the imaginary axis)."""
     z = np.asarray(z, dtype=complex)
     out = z + 1.0 / (z - 1.0) + 1.0 / (z + 1.0)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def _eval_clean(f, z):
@@ -539,16 +522,13 @@ def ui_heuristic(params, grid, min_sep=1e-3, val_tol=1e-12):
     does not prove injectivity."""
     grid = np.asarray(grid, dtype=complex).ravel()
 
-    def make_map(alpha, s, r):
-        def fmap(z):
-            core, ok = _core(alpha, s, r, np.asarray(z, dtype=complex))
-            with np.errstate(all="ignore"):
-                out = 1.0 / core
-            return np.where(ok, out, complex(np.nan, np.nan))
-        return fmap
+    def fwd(z):
+        return _F_masked(params.alpha, params.s, params.r, z)[0]
 
-    fwd = make_map(params.alpha, params.s, params.r)
-    inv = make_map(params.alpha, params.s / params.r, 1.0 / params.r)
+    def inv(z):
+        return _F_masked(params.alpha, params.s / params.r, 1.0 / params.r,
+                         z)[0]
+
     hit = collision_search(fwd, grid, min_sep=min_sep, val_tol=val_tol)
     if hit is not None:
         return {"map": "reciprocal_F", "pair": hit}

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import (CUT_TOL, _log_principal_raw, _log_upper_raw,
-                       on_principal_cut, on_upper_cut)
-from .errors import BranchCutError, DomainError
-from .family import ANGLE_TOL, _require_admissible, _scalarize
+from .branches import _branch_log, _log_principal_raw, _scalar, _unmasked
+from .errors import DomainError
+from .family import ANGLE_TOL, _require_admissible, _stage1, _upper
 
 
 @dataclass(frozen=True)
@@ -39,34 +38,23 @@ class StableParams:
 def _stable_core(alpha, s, z):
     """(F values, ok mask); vectorized, never raises."""
     z = np.asarray(z, dtype=complex)
-    ok = np.isfinite(z.real) & np.isfinite(z.imag) & (np.abs(z) > CUT_TOL)
-    safe = np.where(ok, z, 1j)
-    u = -1.0 / safe
-    ok &= ~on_upper_cut(u)
-    u = np.where(ok, u, 1j)
-    w = 1.0 - s * np.exp(alpha * _log_upper_raw(u))
-    ok &= ~on_principal_cut(w)
-    w = np.where(ok, w, 1.0)
-    f = safe * np.exp(_log_principal_raw(w) / alpha)
-    ok &= np.isfinite(f.real) & np.isfinite(f.imag)
+    w, ok = _stage1(alpha, s, z)
+    lw, ok = _branch_log(w, ok)
+    f = np.where(ok, z, 1j) * np.exp(lw / alpha)
+    ok &= np.isfinite(f)
     return np.where(ok, f, complex(np.nan, np.nan)), ok
 
 
 def stable_F(params, z):
     """Reciprocal Cauchy transform of the stable law; z in C_+."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    vals, ok = _stable_core(params.alpha, params.s, z)
-    if not np.all(ok):
-        raise BranchCutError("an intermediate landed on a branch cut")
-    return _scalarize(vals)
+    return _scalar(_unmasked(*_stable_core(params.alpha, params.s,
+                                           _upper(z))))
 
 
 def stable_G(params, z):
     """Cauchy transform 1/stable_F."""
     out = 1.0 / np.asarray(stable_F(params, z), dtype=complex)
-    return _scalarize(out)
+    return _scalar(out)
 
 
 def stable_density(params, x):
@@ -91,7 +79,7 @@ def stable_density(params, x):
     arg = np.angle(zeta)
     arg = np.where(arg < 0.0, 0.0, arg)  # roundoff guard; true range is [0, pi]
     out = np.sin(arg / alpha) / (np.pi * np.abs(zeta) ** (1.0 / alpha))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def is_positive_supported(params):
@@ -123,12 +111,9 @@ def mp_cauchy(z):
     G(z) = (1 - sqrt(1 - 4/z))/2 with the principal root; for z in C_+ the
     argument 1 - 4/z stays in C_+ so the root is cut-free.
     """
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
-    w = 1.0 - 4.0 / z
+    w = 1.0 - 4.0 / _upper(z)
     out = (1.0 - np.exp(0.5 * _log_principal_raw(w))) / 2.0
-    return _scalarize(np.asarray(out))
+    return _scalar(out)
 
 
 def mp_density(x):
@@ -138,4 +123,4 @@ def mp_density(x):
     safe = np.where(inside, x, 1.0)
     out = np.where(inside, np.sqrt((4.0 - safe) * safe) / (2.0 * np.pi * safe),
                    0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)

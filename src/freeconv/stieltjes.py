@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .branches import binom_coeff
+from .branches import _scalar, binom_coeff
 from .errors import ConvergenceError, DomainError, QuadratureError
 
 # table values this far below zero are clamped (with a warning); anything
@@ -21,70 +21,72 @@ from .errors import ConvergenceError, DomainError, QuadratureError
 NEG_DENSITY_TOL = 1e-9
 
 
-def _richardson(vals):
-    """Extrapolate samples g(y0 * 2**-k), k = 0..n-1, toward y -> 0.
+def _ladder(y0, levels, xs):
+    """The halving ladder y0 * 2**-k, k = 0..levels; y0 defaults to
+    1e-2 * max(1, |x|) over the points xs."""
+    if levels < 1:
+        raise DomainError(f"levels must be >= 1, got {levels}")
+    if y0 is None:
+        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
+    return y0 * 0.5 ** np.arange(levels + 1)
 
-    Returns (limit, err) with err the last diagonal increment.  Raises
-    ConvergenceError when the diagonal increments keep growing, which is
-    the signature of a pole (an atom) under the evaluation point.
+
+def _richardson(vals, police=False):
+    """Extrapolate samples g(y0 * 2**-k), k = 0..n-1 along axis 0, toward
+    y -> 0.
+
+    Returns (limit, err) with err the last diagonal increment, per point.
+    With police, a ladder whose diagonal increments keep growing at any
+    point raises ConvergenceError: the signature of a pole (an atom) under
+    the evaluation point.  Policing needs 4 samples (levels >= 3).
     """
-    n = len(vals)
-    if n < 4:
-        raise ValueError("need at least 4 ladder samples")
-    prev = [complex(vals[0])]
-    diag = [complex(vals[0])]
-    for k in range(1, n):
-        cur = [complex(vals[k])]
-        for j in range(1, k + 1):
-            fac = 2.0 ** j
-            cur.append((fac * cur[j - 1] - prev[j - 1]) / (fac - 1.0))
-        diag.append(cur[k])
-        prev = cur
-    incs = np.abs(np.diff(np.asarray(diag)))
-    scale = max(1.0, float(np.max(np.abs(np.asarray(vals)))))
-    if incs[-1] > 1e-11 * scale and incs[-1] >= incs[-2] >= incs[-3]:
-        raise ConvergenceError("boundary extrapolation is diverging "
-                               "(atom or pole under the evaluation point?)")
-    return diag[-1], float(incs[-1])
-
-
-def _richardson_vec(vals):
-    """Tableau over a list of equal-shaped arrays; (limit, last increment).
-
-    No divergence policing here; grid builders report the per-point err and
-    leave judgement to the caller.
-    """
-    prev = [np.asarray(vals[0], dtype=complex)]
-    diag = [prev[0]]
+    vals = np.asarray(vals, dtype=complex)
+    if police and len(vals) < 4:
+        raise DomainError(f"a ladder checked for divergence needs levels "
+                          f">= 3, got {len(vals) - 1}")
+    prev = [vals[0]]
+    diag = [vals[0]]
     for k in range(1, len(vals)):
-        cur = [np.asarray(vals[k], dtype=complex)]
+        cur = [vals[k]]
         for j in range(1, k + 1):
             fac = 2.0 ** j
             cur.append((fac * cur[j - 1] - prev[j - 1]) / (fac - 1.0))
         diag.append(cur[k])
         prev = cur
-    return diag[-1], np.abs(diag[-1] - diag[-2])
+    incs = np.abs(np.diff(np.asarray(diag), axis=0))
+    if police:
+        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
+        if np.any((incs[-1] > 1e-11 * scale) & (incs[-1] >= incs[-2])
+                  & (incs[-2] >= incs[-3])):
+            raise ConvergenceError("boundary extrapolation is diverging "
+                                   "(atom or pole under the evaluation "
+                                   "point?)")
+    return diag[-1], incs[-1]
+
+
+def _inversion(G, xs, y0, levels, police=False):
+    """(density, err, ladder): -(1/pi) lim Im G(x+iy) at the points xs,
+    with G called once on the whole ladder grid."""
+    ladder = _ladder(y0, levels, xs)
+    vals = -np.imag(G(xs + 1j * ladder[:, None])) / np.pi
+    dens, err = _richardson(vals, police)
+    return dens.real, err, ladder
 
 
 def density_from_G(G, x, y0=None, levels=8):
-    """(density, err) at real x by extrapolating -(1/pi) Im G(x+iy)."""
-    x = float(x)
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(x))
-    ys = y0 * 0.5 ** np.arange(levels + 1)
-    vals = [-np.imag(complex(G(complex(x, y)))) / np.pi for y in ys]
-    val, err = _richardson(vals)
-    return float(val.real), err
+    """(density, err) at real x by extrapolating -(1/pi) Im G(x+iy); the
+    length-1 form of build_density_table, which also refuses divergent
+    ladders (an atom under x)."""
+    dens, err, _ = _inversion(G, np.asarray([float(x)]), y0, levels,
+                              police=True)
+    return float(dens[0]), float(err[0])
 
 
 def atom_mass(G, x, y0=None, levels=8):
     """mu({x}) = lim iy*G(x+iy); the imaginary part must vanish."""
     x = float(x)
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, abs(x))
-    ys = y0 * 0.5 ** np.arange(levels + 1)
-    vals = [1j * y * complex(G(complex(x, y))) for y in ys]
-    val, _err = _richardson(vals)
+    ys = _ladder(y0, levels, x)
+    val, _err = _richardson(1j * ys * G(x + 1j * ys), police=True)
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise ConvergenceError("imaginary part of iy*G(x+iy) did not vanish")
     return float(val.real)
@@ -146,17 +148,14 @@ class DensityTable:
 def build_density_table(G, xs, y0=None, levels=8):
     """DensityTable by Stieltjes inversion of G on the grid xs.
 
-    G must accept complex arrays (all transforms in this package do).
+    G must accept complex arrays (all transforms in this package do); it
+    is called once, on the grid of every x and every ladder rung.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 1 or np.any(np.diff(xs) <= 0):
         raise DomainError("xs must be a strictly increasing 1-D grid")
-    if y0 is None:
-        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
-    ladder = y0 * 0.5 ** np.arange(levels + 1)
-    vals = [np.asarray(-np.imag(G(xs + 1j * y)) / np.pi) for y in ladder]
-    dens, err = _richardson_vec(vals)
-    return DensityTable(xs=xs, values=dens.real, errs=err, y_ladder=ladder)
+    dens, err, ladder = _inversion(G, xs, y0, levels)
+    return DensityTable(xs=xs, values=dens, errs=err, y_ladder=ladder)
 
 
 def quadrature(f, a, b, left_exp=0.0, right_exp=0.0, tol=1e-9):
@@ -216,7 +215,7 @@ def closed_beta_density(r, x):
     coef = r * np.sin(np.pi / r) / np.pi
     out = np.where(inside,
                    coef * safe ** (-1.0 / r) * (1.0 - safe) ** (1.0 / r), 0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def closed_symmetric_beta_density(s, x):
@@ -233,9 +232,9 @@ def closed_symmetric_beta_density(s, x):
         out = np.where(
             inside,
             np.abs(x) ** -0.5 * np.sqrt(np.where(inside, root - np.abs(x), 0.0))
-            / (np.pi * root ** 0.5),
+            / (np.pi * root),
             0.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def example_density_cauchy_mix(x):
@@ -246,7 +245,7 @@ def example_density_cauchy_mix(x):
         raise DomainError("x = 0 is excluded")
     out = (np.sqrt(2.0) / np.pi) * (
         np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / x ** 2)) - np.sqrt(2.0))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def example_density_halfstable(x):
@@ -256,7 +255,7 @@ def example_density_halfstable(x):
         raise DomainError("defined for x > 0")
     out = (4.0 * np.sqrt(2.0) / np.pi) * (
         1.0 / np.sqrt(2.0 * x) - np.sqrt(-1.0 + np.sqrt(1.0 + 1.0 / x)))
-    return float(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def tail_density_series(s, r, x, n_max=80):

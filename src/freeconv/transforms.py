@@ -13,8 +13,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import BracketingError, DomainError, HypothesisError
-from .family import ANGLE_TOL, FamilyParams, cauchy_G, voiculescu_phi
-from .stable_poisson import StableParams, stable_G
+from .branches import _scalar
+from .family import FamilyParams, _worst, cauchy_G, voiculescu_phi
+from .stable_poisson import (StableParams, is_positive_supported,
+                             is_symmetric, stable_G)
 
 
 def psi_from_G(G, z):
@@ -64,7 +66,11 @@ def chi_numeric(psi, w, t_floor=-1e-12):
     else:
         raise BracketingError("psi never drops below w on the negative "
                               "axis; w outside the range of psi?")
-    return brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
+    try:
+        return brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
+    except ValueError as exc:  # psi(t_floor) is still below w
+        raise BracketingError(f"no sign change of psi - w up to t = "
+                              f"{t_floor:g}; w too close to 0?") from exc
 
 
 def _chi_symmetric_t(G, w):
@@ -116,10 +122,10 @@ def _closed_form_kind(alpha, s):
     """Which closed-form branch applies: 'positive' when arg s = pi with
     alpha <= 1, 'symmetric' when arg s = (1 - alpha/2) pi.  Anything else
     raises HypothesisError."""
-    theta = float(np.angle(complex(s)))
-    if abs(theta - np.pi) <= ANGLE_TOL and alpha <= 1.0 + ANGLE_TOL:
+    params = StableParams(alpha, s)
+    if is_positive_supported(params):
         return "positive"
-    if abs(theta - (1.0 - alpha / 2.0) * np.pi) <= ANGLE_TOL:
+    if is_symmetric(params):
         return "symmetric"
     raise HypothesisError(
         "closed S-transform needs arg s = pi (with alpha <= 1) or "
@@ -164,23 +170,14 @@ def mp_s_transform(z):
     """S-transform 1/(1+z) of the free Poisson law of rate 1."""
     z = np.asarray(z, dtype=complex)
     out = 1.0 / (1.0 + z)
-    return complex(out) if out.ndim == 0 else out
+    return _scalar(out)
 
 
 def mp_r_transform(z):
     """R-transform z/(1-z) of the free Poisson law of rate 1."""
     z = np.asarray(z, dtype=complex)
     out = z / (1.0 - z)
-    return complex(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class STransformSample:
-    """One S-transform evaluation: where, what, and how it was computed."""
-
-    z: float
-    value: complex
-    method: str  # "closed-form" or "numeric-inversion"
+    return _scalar(out)
 
 
 @dataclass
@@ -218,11 +215,7 @@ def verify_compound_poisson(alpha, s, grid, return_argmax=False):
     grid = np.asarray(grid, dtype=complex).ravel()
     phi = np.asarray(voiculescu_phi(params, grid))
     rhs = grid ** 2 * np.asarray(stable_G(ap, grid)) - grid
-    res = np.abs(phi - rhs)
-    k = int(np.argmax(res))
-    if return_argmax:
-        return float(res[k]), complex(grid[k])
-    return float(res[k])
+    return _worst(np.abs(phi - rhs), grid, return_argmax)
 
 
 def verify_boxtimes(alpha, s, zs, return_argmax=False):
@@ -243,15 +236,7 @@ def verify_boxtimes(alpha, s, zs, return_argmax=False):
     def G_a(w):
         return stable_G(ap, w)
 
-    best = -1.0
-    arg = None
-    for z in np.asarray(zs, dtype=float).ravel():
-        s_mu = s_transform_numeric(G_mu, float(z), kind)
-        s_prod = mp_s_transform(float(z)) * s_transform_numeric(
-            G_a, float(z), kind)
-        d = abs(s_mu - s_prod)
-        if d > best:
-            best, arg = d, float(z)
-    if return_argmax:
-        return best, arg
-    return best
+    zs = np.asarray(zs, dtype=float).ravel()
+    res = [abs(s_transform_numeric(G_mu, z, kind) - mp_s_transform(z)
+               * s_transform_numeric(G_a, z, kind)) for z in zs.tolist()]
+    return _worst(np.asarray(res), zs, return_argmax)

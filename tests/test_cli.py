@@ -95,7 +95,7 @@ def test_density_s_mod_arg_spelling(capsys):
     assert all(len(line.split()) == 2 for line in body)
 
 
-def test_config_errors_exit_2(capsys):
+def test_config_errors_exit_2(capsys, monkeypatch):
     cases = [
         ("density", "--measure", "family", "--alpha", "1", "--s", "-1",
          "--s-mod", "1", "--r", "2", "--xmin", "0", "--xmax", "1"),
@@ -113,17 +113,57 @@ def test_config_errors_exit_2(capsys):
         ("eval", "--transform", "G", "--alpha", "1", "--s", "-1",
          "--z", "2i"),
     ]
+    # size and level minimums: density --levels 1, levy --levels 3 (its
+    # atom at 0 is read off a policed ladder), --n 1, fid --nx/--ny 2
+    density = ("density", "--alpha", "1", "--s", "-1", "--r", "2",
+               "--xmin", "0.1", "--xmax", "0.9")
+    levy = ("levy", "--alpha", "1", "--s", "3i", "--r", "3", "--xmin=-2",
+            "--xmax", "2")
+    fid = ("fid", "--alpha", "1", "--s=-3", "--r", "3")
+    cases += [
+        density + ("--levels", "0"),
+        density + ("--levels", "-1"),
+        density + ("--levels", "two"),
+        levy + ("--levels", "1"),
+        levy + ("--levels", "2"),
+        density + ("--n", "-1"),
+        density + ("--n", "0"),
+        levy + ("--n", "-1"),
+        levy + ("--n", "0"),
+        fid + ("--nx", "0"),
+        fid + ("--nx", "1"),
+        fid + ("--nx", "-3"),
+        fid + ("--ny", "1"),
+        fid + ("--nx", "4.5"),
+    ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("config error:"), argv
+        assert err.count("\n") == 1, argv
+    # the fid thread count from the environment: an integer >= 1
+    for bad in ("abc", "0", "-1"):
+        monkeypatch.setenv("FREECONV_THREADS", bad)
+        code, out, err = run(capsys, "fid", "--alpha", "1", "--s", "-1",
+                             "--r", "2", "--nx", "8", "--ny", "4")
+        assert code == 2, bad
+        assert out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_computation_error_exits_1(capsys):
+def test_computation_error_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "--transform", "G", "--alpha", "1",
                        "--s", "-1", "--r", "2", "--z=-1-1i")
     assert code == 1
     assert err.startswith("error:")
+    # an output file that cannot be written is an error line, not a trace
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "verify", "--suite", "inversion", "--out",
+                         str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_verify_inversion_suite(capsys):

@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from freeconv import fid
 from freeconv import (DomainError, FamilyParams, StableParams, cauchy_G,
                       check_fid_grid, collision_search, e_function,
                       find_E_zero, im_phi_cubic_pi2, levy_beta_closed,
@@ -64,6 +67,11 @@ def test_levy_numeric_matches_closed():
             levy_beta_closed(1.5, x), abs=2e-5)
     with pytest.raises(DomainError):
         levy_density_numeric(cubic, 0.0)
+    for levels in (-1, 0, 1, 2):
+        with pytest.raises(DomainError):
+            levy_density_numeric(cubic, 1.0, levels=levels)
+        with pytest.raises(DomainError):
+            tau_atom(cubic, 1.0, levels=levels)
 
 
 def test_levy_r2_is_the_scaled_stable_density():
@@ -159,6 +167,10 @@ def test_fid_grid_finds_violation():
     assert d["witness"] == {"re": w.real, "im": w.imag}
     with pytest.raises(DomainError):
         check_fid_grid(FamilyParams(1.0, -3.0, 3.0), rect=(0, 1, 0, 1))
+    # a degenerate grid is refused, not reported as a clean scan
+    for nx, ny in ((1, 60), (0, 60), (120, 1), (-3, 60)):
+        with pytest.raises(DomainError):
+            check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=nx, ny=ny)
 
 
 def test_tau_values():
@@ -210,3 +222,18 @@ def test_ui_heuristic_clean():
     p = FamilyParams(1.0, -1.0, 2.0)
     grid = verification_cone(1.0, -1.0).sample(300)
     assert ui_heuristic(p, grid) is None
+
+
+def test_thread_count_env(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.delenv("FREECONV_THREADS", raising=False)
+    assert fid._thread_count() == min(4, cpus)
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    assert fid._thread_count() == 1
+    # values past the CPU count are capped, never handed to the pool
+    monkeypatch.setenv("FREECONV_THREADS", "100000")
+    assert fid._thread_count() == cpus
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("FREECONV_THREADS", bad)
+        with pytest.raises(DomainError):
+            fid._thread_count()

@@ -85,11 +85,20 @@ def test_closed_symmetric_beta_density():
     np.testing.assert_allclose(closed_symmetric_beta_density(1.0, xs),
                                closed_symmetric_beta_density(1.0, -xs))
     assert closed_symmetric_beta_density(1.0, 1.5) == 0.0
-    total = (quadrature(lambda x: closed_symmetric_beta_density(1.0, x),
-                        -1.0, 0.0, right_exp=-0.5)
-             + quadrature(lambda x: closed_symmetric_beta_density(1.0, x),
-                          0.0, 1.0, left_exp=-0.5))
-    assert total == pytest.approx(1.0, abs=1e-8)
+    for s in (0.5, 1.0, 2.0):
+        root = np.sqrt(s)
+        total = (quadrature(lambda x: closed_symmetric_beta_density(s, x),
+                            -root, 0.0, right_exp=-0.5)
+                 + quadrature(lambda x: closed_symmetric_beta_density(s, x),
+                              0.0, root, left_exp=-0.5))
+        assert total == pytest.approx(1.0, abs=1e-8), s
+        # the (2, s, 2) member is this law: compare with its inversion
+        p = FamilyParams(2.0, s, 2.0)
+        grid = root * np.concatenate([-xs[::-1], xs])
+        table = build_density_table(lambda z: cauchy_G(p, z), grid)
+        np.testing.assert_allclose(
+            table.values, closed_symmetric_beta_density(s, grid),
+            rtol=0, atol=1e-10)
     with pytest.raises(DomainError):
         closed_symmetric_beta_density(0.0, 0.5)
 
@@ -177,3 +186,22 @@ def test_density_from_G_flags_divergence():
     # an atom under the probe point makes the ladder blow up, never converge
     with pytest.raises(ConvergenceError):
         density_from_G(lambda z: 1 / z, 0.0)
+
+
+def test_short_ladders_are_domain_errors():
+    G = lambda z: 1 / (z - 2.0)
+    with pytest.raises(DomainError):
+        build_density_table(G, np.array([0.5]), levels=0)
+    with pytest.raises(DomainError):
+        build_density_table(G, np.array([0.5]), levels=-1)
+    # the pointwise forms police divergence, which needs four rungs
+    for levels in (1, 2):
+        with pytest.raises(DomainError):
+            density_from_G(G, 0.5, levels=levels)
+        with pytest.raises(DomainError):
+            atom_mass(G, 0.5, levels=levels)
+    # the shortest ladders still run: two rungs for a table, four policed
+    assert build_density_table(G, np.array([0.5]), levels=1).values[0] \
+        == pytest.approx(0.0, abs=1e-6)
+    assert density_from_G(G, 0.5, levels=3)[0] == pytest.approx(0.0,
+                                                                 abs=1e-6)
