@@ -59,18 +59,27 @@ def _config_error(msg):
     raise _ConfigError(msg)
 
 
-def _int_at_least(lo):
-    """argparse type: an integer >= lo."""
+def _int_between(lo, hi):
+    """argparse type: an integer in [lo, hi]."""
     def parse(text):
         try:
             val = int(text)
         except ValueError:
             val = lo - 1
-        if val < lo:
+        if not lo <= val <= hi:
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {lo}, got {text!r}")
+                f"expected an integer in [{lo}, {hi}], got {text!r}")
         return val
     return parse
+
+
+# size caps, so that no argument asks for more memory than a workstation
+# has: a Levy table takes about 17 kB per point (0.2 GB at the cap), a fid
+# scan about 80 B per grid point (0.4 GB at the cap); rungs below
+# y0 * 2**-60 add nothing at double precision
+_MAX_N = 10_000
+_MAX_NX, _MAX_NY = 3200, 1600
+_MAX_LEVELS = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -364,7 +373,7 @@ def _add_param_opts(p, with_r=True):
 def _add_table_opts(p):
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--n", type=_int_at_least(1), default=101)
+    p.add_argument("--n", type=_int_between(1, _MAX_N), default=101)
     p.add_argument("--y0", type=float, default=None,
                    help="top of the extrapolation ladder")
     p.add_argument("--format", default="csv",
@@ -386,14 +395,16 @@ def build_parser():
                    choices=["family", "stable", "mp", "beta",
                             "symmetric-beta", "cauchy-mix", "half-stable"])
     _add_table_opts(p)
-    p.add_argument("--levels", type=_int_at_least(1), default=8)
+    p.add_argument("--levels", type=_int_between(1, _MAX_LEVELS),
+                   default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("levy", help="generating triplet on a window")
     _add_param_opts(p)
     _add_table_opts(p)
     # levy_triplet reads the atom at 0 off a policed ladder (4+ rungs)
-    p.add_argument("--levels", type=_int_at_least(3), default=8)
+    p.add_argument("--levels", type=_int_between(3, _MAX_LEVELS),
+                   default=8)
     p.set_defaults(func=cmd_levy)
 
     p = sub.add_parser("fid", help="scan Im phi for divisibility violations")
@@ -402,8 +413,8 @@ def build_parser():
     p.add_argument("--xmax", type=float, default=None)
     p.add_argument("--ymin", type=float, default=None)
     p.add_argument("--ymax", type=float, default=None)
-    p.add_argument("--nx", type=_int_at_least(2), default=400)
-    p.add_argument("--ny", type=_int_at_least(2), default=200)
+    p.add_argument("--nx", type=_int_between(2, _MAX_NX), default=400)
+    p.add_argument("--ny", type=_int_between(2, _MAX_NY), default=200)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--format", default="json", choices=["json"])
     p.add_argument("--out", default="-")
@@ -436,6 +447,9 @@ def main(argv=None):
         return 2
     except (FreeconvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -272,8 +272,11 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     # difference of logs: the ratio overflows for subnormal ys
     n_dense = max(48, int(24.0 * (np.log10(y_top)
                                   - np.log10(ys_desc[-1]))) + 1)
-    path = np.unique(np.concatenate(
-        [np.geomspace(y_top, float(ys_desc[-1]), n_dense), ys_desc]))[::-1]
+    # sorted and deduplicated as np.unique would, without its np.ma check,
+    # which imports numpy.ma (about 15 ms) on the first scan of a process
+    path = np.sort(np.concatenate(
+        [np.geomspace(y_top, float(ys_desc[-1]), n_dense), ys_desc]))
+    path = path[np.append(True, path[1:] != path[:-1])][::-1]
     Z = xs[None, :] + 1j * path[:, None]
     with np.errstate(all="ignore"):
         f_inv, ok = _F_masked(alpha, sp, rp, Z, track=True)

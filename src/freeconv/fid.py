@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .branches import _branch_log, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
@@ -488,6 +487,10 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
     Candidates are processed in order of value distance, so the result is
     deterministic.  Returns (z1, z2) or None.
     """
+    # scipy is imported here, not at module level, so that the CLI, which
+    # never searches for collisions, starts without loading it
+    from scipy.spatial import cKDTree
+
     pts = np.asarray(pts, dtype=complex).ravel()
     with np.errstate(all="ignore"):
         vals = np.asarray(f(pts), dtype=complex)

@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .branches import _scalar, binom_coeff
 from .errors import ConvergenceError, DomainError, QuadratureError
@@ -168,6 +167,10 @@ def quadrature(f, a, b, left_exp=0.0, right_exp=0.0, tol=1e-9):
     combined error estimate exceeds tol a QuadratureError carrying the best
     estimate is raised.
     """
+    # imported here so that the CLI, which never integrates, starts
+    # without loading scipy
+    from scipy import integrate
+
     if left_exp <= -1.0 or right_exp <= -1.0:
         raise DomainError("endpoint exponents must be > -1")
     if not a < b:
@@ -243,8 +246,9 @@ def example_density_cauchy_mix(x):
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise DomainError("x = 0 is excluded")
+    # hypot(1, 1/x) = sqrt(1 + 1/x**2) without x**2 underflowing at tiny x
     out = (np.sqrt(2.0) / np.pi) * (
-        np.sqrt(1.0 + np.sqrt(1.0 + 1.0 / x ** 2)) - np.sqrt(2.0))
+        np.sqrt(1.0 + np.hypot(1.0, 1.0 / x)) - np.sqrt(2.0))
     return _scalar(out)
 
 

@@ -7,16 +7,90 @@ stable laws and the r = 2 family members are provided alongside, arranged
 so that the branch matches the numeric convention.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import BracketingError, DomainError, HypothesisError
+from .errors import (BracketingError, ConvergenceError, DomainError,
+                     HypothesisError)
 from .branches import _scalar
 from .family import FamilyParams, _worst, cauchy_G, voiculescu_phi
 from .stable_poisson import (StableParams, is_positive_supported,
                              is_symmetric, stable_G)
+
+
+def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon,
+            maxiter=100):
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's brentq.c with its defaults, so it takes
+    the same iterates and makes the same evaluations as
+    scipy.optimize.brentq.  f(a) and f(b) of one sign, or a NaN value of f,
+    raise ValueError; no convergence within maxiter raises
+    ConvergenceError.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x:f} is NaN")
+        return fx
+
+    def neg(v):
+        return math.copysign(1.0, v) < 0.0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if neg(fpre) == neg(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and neg(fpre) != neg(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # a product underflowed to 0; C divides to inf or nan here
+                # and so bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(f"brentq did not converge in {maxiter} "
+                           f"iterations; last iterate {xcur!r}")
 
 
 def psi_from_G(G, z):
@@ -54,7 +128,7 @@ def chi_numeric(psi, w, t_floor=-1e-12):
     """Inverse of psi on (-inf, 0) for a measure on [0, inf).
 
     psi is increasing there, from -1 + mu({0}) up to 0; the bracket is
-    grown by doubling and handed to brentq.
+    grown by doubling and the root polished by Brent's method (_brentq).
     """
     if not -1.0 < w < 0.0:
         raise DomainError("w must lie in (-1, 0)")
@@ -67,7 +141,7 @@ def chi_numeric(psi, w, t_floor=-1e-12):
         raise BracketingError("psi never drops below w on the negative "
                               "axis; w outside the range of psi?")
     try:
-        return brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
+        return _brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
     except ValueError as exc:  # psi(t_floor) is still below w
         raise BracketingError(f"no sign change of psi - w up to t = "
                               f"{t_floor:g}; w too close to 0?") from exc
@@ -95,8 +169,11 @@ def _chi_symmetric_t(G, w):
     else:
         raise BracketingError("psi(i*t) never drops below w; w outside "
                               "the range?")
-    return brentq(lambda t: psi_symmetric_from_G(G, t) - w, lo, hi,
-                  xtol=1e-14)
+    try:
+        return _brentq(lambda t: psi_symmetric_from_G(G, t) - w, lo, hi,
+                       xtol=1e-14)
+    except ValueError as exc:  # the bracket holds, so psi(i*t) gave NaN
+        raise ConvergenceError(str(exc)) from exc
 
 
 def s_transform_numeric(G, z, kind="positive"):

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from freeconv import closed_beta_density
-from freeconv.cli import main, parse_complex
+from freeconv import cli, closed_beta_density
+from freeconv.cli import build_parser, main, parse_complex
 
 
 def run(capsys, *argv):
@@ -95,6 +95,18 @@ def test_density_s_mod_arg_spelling(capsys):
     assert all(len(line.split()) == 2 for line in body)
 
 
+def test_density_cauchy_mix_near_zero(capsys):
+    code, out, err = run(capsys, "density", "--measure", "cauchy-mix",
+                         "--xmin=-1e-160", "--xmax=1e-160", "--n", "4")
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    xs = np.array([float(r[0]) for r in rows])
+    vals = np.array([float(r[1]) for r in rows])
+    np.testing.assert_allclose(vals, np.sqrt(2.0) / np.pi
+                               / np.sqrt(np.abs(xs)), rtol=1e-12, atol=0)
+
+
 def test_config_errors_exit_2(capsys, monkeypatch):
     cases = [
         ("density", "--measure", "family", "--alpha", "1", "--s", "-1",
@@ -136,11 +148,28 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         fid + ("--ny", "1"),
         fid + ("--nx", "4.5"),
     ]
+    # size caps: each cap + 1, and a size numpy itself cannot allocate
+    cases += [
+        density + ("--n", "100000000000000000000"),
+        density + ("--n", "10001"),
+        density + ("--levels", "61"),
+        levy + ("--n", "10001"),
+        levy + ("--levels", "61"),
+        fid + ("--nx", "3201"),
+        fid + ("--ny", "1601"),
+        fid + ("--nx", "100000000000000000000"),
+    ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("config error:"), argv
         assert err.count("\n") == 1, argv
+    # the caps themselves are accepted (parsed only: nothing is built)
+    parser = build_parser()
+    for argv in (density + ("--n", "10000", "--levels", "60"),
+                 levy + ("--n", "10000", "--levels", "60"),
+                 fid + ("--nx", "3200", "--ny", "1600")):
+        parser.parse_args(list(argv))
     # the fid thread count from the environment: an integer >= 1
     for bad in ("abc", "0", "-1"):
         monkeypatch.setenv("FREECONV_THREADS", bad)
@@ -151,7 +180,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def test_computation_error_exits_1(capsys, tmp_path):
+def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "eval", "--transform", "G", "--alpha", "1",
                        "--s", "-1", "--r", "2", "--z=-1-1i")
     assert code == 1
@@ -164,6 +193,17 @@ def test_computation_error_exits_1(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert not target.parent.exists()
+    # running out of memory is an error line too (simulated: nothing big
+    # is allocated)
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.5 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_density_table", no_memory)
+    code, out, err = run(capsys, "density", "--alpha", "1", "--s", "-1",
+                         "--r", "2", "--xmin", "0.1", "--xmax", "0.9")
+    assert code == 1
+    assert out == ""
+    assert err == "error: Unable to allocate 1.5 TiB for an array\n"
 
 
 def test_verify_inversion_suite(capsys):

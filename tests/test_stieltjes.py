@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,19 @@ def test_example_densities():
     total = quadrature(example_density_halfstable, 0.0, np.inf,
                        left_exp=-0.5, tol=1e-7)
     assert total == pytest.approx(1.0, abs=1e-5)
+
+
+def test_cauchy_mix_density_at_tiny_x():
+    # x**2 underflows here; the density is (sqrt2/pi) |x|**-0.5 to far
+    # below roundoff
+    x = np.logspace(-300, -150, 31)
+    x = np.concatenate([-x[::-1], x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = example_density_cauchy_mix(x)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, np.sqrt(2.0) / np.pi / np.sqrt(np.abs(x)),
+                               rtol=1e-12, atol=0)
 
 
 def test_examples_match_inversion():

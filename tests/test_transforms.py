@@ -1,13 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
-from freeconv import (DomainError, FamilyParams, HypothesisError,
-                      ResidualReport, StableParams, cauchy_G, chi_numeric,
-                      mp_cauchy, mp_r_transform, mp_s_transform, psi_from_G,
+from freeconv import (BracketingError, ConvergenceError, DomainError,
+                      FamilyParams, HypothesisError, ResidualReport,
+                      StableParams, cauchy_G, chi_numeric, mp_cauchy,
+                      mp_r_transform, mp_s_transform, psi_from_G,
                       psi_symmetric_from_G, r_transform, s_mu2_closed,
                       s_stable_closed, s_transform_numeric, stable_G,
-                      verification_cone, verify_boxtimes,
+                      transforms, verification_cone, verify_boxtimes,
                       verify_compound_poisson)
+from freeconv.cli import main
 
 
 def G_delta1(z):
@@ -159,3 +163,95 @@ def test_residual_report_round_trip():
                           max_residual=0.0, argmax_point=None,
                           tolerance=1.0, passed=True)
     assert rep2.to_dict()["argmax_point"] is None
+
+
+def _counted(solver, f, *args, **kw):
+    """solver(f, *args, **kw) -> (root or exception type, f evaluations)."""
+    n = [0]
+
+    def g(x):
+        n[0] += 1
+        return f(x)
+
+    try:
+        out = solver(g, *args, **kw)
+    except (ValueError, RuntimeError) as exc:
+        out = ValueError if isinstance(exc, ValueError) else RuntimeError
+    return out, n[0]
+
+
+def test_brentq_matches_scipy(monkeypatch):
+    # the port takes scipy's iterates: the same float after the same number
+    # of evaluations, on the solves S-transform inversion really makes
+    from scipy.optimize import brentq
+    port = transforms._brentq
+    calls = []
+
+    def both(f, a, b, **kw):
+        got = _counted(port, f, a, b, **kw)
+        calls.append((got, _counted(brentq, f, a, b, **kw)))
+        return got[0]
+
+    monkeypatch.setattr(transforms, "_brentq", both)
+    zs = np.linspace(-0.9, -0.1, 5)
+    for c in (0.5, 1.0, 2.0):
+        positive = FamilyParams(1.0, -c, 2.0)
+        symmetric = FamilyParams(2.0, c, 2.0)
+        for z in zs:
+            s_transform_numeric(lambda w: cauchy_G(positive, w), z)
+            s_transform_numeric(lambda w: cauchy_G(symmetric, w), z,
+                                kind="symmetric")
+    assert len(calls) == 2 * 3 * len(zs)
+    for got, ref in calls:
+        assert isinstance(got[0], float)
+        assert got == ref
+    # analytic functions, including one so small that the extrapolation's
+    # denominator underflows to 0 (C divides to inf and bisects),
+    # non-convergence within maxiter (scipy raises RuntimeError, the port
+    # its subclass ConvergenceError), a bad bracket and a NaN value
+    # (ValueError in both)
+    cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
+             (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 0.0, 3.0, {}),
+             (lambda x: np.cos(x) - x, 0.0, 1.0, {"xtol": 1e-14}),
+             (lambda x: np.tanh(x - 0.3) + 0.1 * (x - 0.3) ** 3, -10.0,
+              10.0, {}),
+             (lambda x: np.exp(x) - 2.0, -5.0, 5.0, {"xtol": 1e-14}),
+             (lambda x: (x - 0.7) ** 5, -7.3, 9.1, {}),
+             (lambda x: np.arctan(1e3 * (x - 0.3)), -7.0, 9.0,
+              {"maxiter": 3}),
+             (lambda x: x * x + 1.0, -1.0, 1.0, {}),
+             (lambda x: np.nan if x > 0.5 else x - 0.75, 0.0, 1.0, {})]
+    for f, a, b, kw in cases:
+        assert _counted(port, f, a, b, **kw) == _counted(brentq, f, a, b,
+                                                         **kw)
+
+
+def test_brentq_failures():
+    with pytest.raises(ValueError):
+        transforms._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ConvergenceError):
+        transforms._brentq(lambda x: np.arctan(1e3 * (x - 0.3)), -7.0, 9.0,
+                           maxiter=3)
+    # psi(t_floor) is still below w: the bad bracket is a BracketingError
+    with pytest.raises(BracketingError):
+        chi_numeric(lambda t: psi_from_G(mp_cauchy, t), -1e-15)
+
+    # symmetric Bernoulli law, psi(i*t) = -t**2/(1 + t**2), with G made NaN
+    # inside the bracket: the solve fails with a ConvergenceError
+    def G_nan(z):
+        return np.nan if 0.5 < abs(z) < 2.0 else z / (z * z - 1.0)
+
+    with pytest.raises(ConvergenceError, match="NaN"):
+        s_transform_numeric(G_nan, -0.5, kind="symmetric")
+
+
+def test_s_transform_non_convergence_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(transforms, "_brentq",
+                        functools.partial(transforms._brentq, maxiter=1))
+    for s in ("-1", "i"):
+        code = main(["eval", "--transform", "S", "--alpha", "1", "--s", s,
+                     "--z=-0.5"])
+        out = capsys.readouterr()
+        assert code == 1, s
+        assert out.out == ""
+        assert out.err.startswith("error:") and out.err.count("\n") == 1
