@@ -74,10 +74,11 @@ def _int_between(lo, hi):
 
 
 # size caps, so that no argument asks for more memory than a workstation
-# has: a Levy table takes about 17 kB per point (0.2 GB at the cap), a fid
-# scan about 80 B per grid point (0.4 GB at the cap); rungs below
-# y0 * 2**-60 add nothing at double precision
-_MAX_N = 10_000
+# has: a density table takes about 0.1 kB per point and ladder rung (1 GB at
+# the cap with the default 8 levels), a Levy table about 17 kB per point
+# (0.2 GB at the cap), a fid scan about 80 B per grid point (0.4 GB at the
+# caps); rungs below y0 * 2**-60 add nothing at double precision
+_MAX_DENSITY_N, _MAX_LEVY_N = 1_000_000, 10_000
 _MAX_NX, _MAX_NY = 3200, 1600
 _MAX_LEVELS = 60
 
@@ -370,10 +371,10 @@ def _add_param_opts(p, with_r=True):
         p.add_argument("--r", type=float, help="shape parameter, r > 0")
 
 
-def _add_table_opts(p):
+def _add_table_opts(p, max_n):
     p.add_argument("--xmin", type=float, required=True)
     p.add_argument("--xmax", type=float, required=True)
-    p.add_argument("--n", type=_int_between(1, _MAX_N), default=101)
+    p.add_argument("--n", type=_int_between(1, max_n), default=101)
     p.add_argument("--y0", type=float, default=None,
                    help="top of the extrapolation ladder")
     p.add_argument("--format", default="csv",
@@ -394,14 +395,14 @@ def build_parser():
     p.add_argument("--measure", default="family",
                    choices=["family", "stable", "mp", "beta",
                             "symmetric-beta", "cauchy-mix", "half-stable"])
-    _add_table_opts(p)
+    _add_table_opts(p, _MAX_DENSITY_N)
     p.add_argument("--levels", type=_int_between(1, _MAX_LEVELS),
                    default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("levy", help="generating triplet on a window")
     _add_param_opts(p)
-    _add_table_opts(p)
+    _add_table_opts(p, _MAX_LEVY_N)
     # levy_triplet reads the atom at 0 off a policed ladder (4+ rungs)
     p.add_argument("--levels", type=_int_between(3, _MAX_LEVELS),
                    default=8)

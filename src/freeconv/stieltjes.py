@@ -246,9 +246,14 @@ def example_density_cauchy_mix(x):
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
         raise DomainError("x = 0 is excluded")
-    # hypot(1, 1/x) = sqrt(1 + 1/x**2) without x**2 underflowing at tiny x
-    out = (np.sqrt(2.0) / np.pi) * (
-        np.sqrt(1.0 + np.hypot(1.0, 1.0 / x)) - np.sqrt(2.0))
+    # (sqrt2/pi) (sqrt(1 + sqrt(1 + 1/x**2)) - sqrt2), rewritten with
+    # m = (|x| + hypot(x, 1))/2 as 1/(2 pi sqrt|x| m (sqrt m + sqrt|x|)):
+    # no difference cancels at large |x| and, taken as a chain of
+    # quotients, no step overflows for subnormal or huge |x|
+    a = np.abs(x)
+    m = 0.5 * a + 0.5 * np.hypot(a, 1.0)
+    ra = np.sqrt(a)
+    out = 0.5 / np.pi / ra / m / (np.sqrt(m) + ra)
     return _scalar(out)
 
 

@@ -8,29 +8,28 @@ so that the branch matches the numeric convention.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BracketingError, ConvergenceError, DomainError,
-                     HypothesisError)
+                     FreeconvError, HypothesisError)
 from .branches import _scalar
 from .family import FamilyParams, _worst, cauchy_G, voiculescu_phi
 from .stable_poisson import (StableParams, is_positive_supported,
                              is_symmetric, stable_G)
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4 * sys.float_info.epsilon,
-            maxiter=100):
+def _brentq(f, a, b, xtol, maxiter=100):
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy's brentq.c with its defaults, so it takes
-    the same iterates and makes the same evaluations as
-    scipy.optimize.brentq.  f(a) and f(b) of one sign, or a NaN value of f,
-    raise ValueError; no convergence within maxiter raises
-    ConvergenceError.
+    A line-for-line port of scipy's brentq.c with its rtol and maxiter
+    defaults, so for the same xtol it takes the same iterates and makes the
+    same evaluations as scipy.optimize.brentq.  f(a) and f(b) of one sign,
+    or a NaN value of f, raise ValueError; no convergence within maxiter
+    raises ConvergenceError.
     """
+    rtol = 4 * np.finfo(float).eps
     def call(x):
         fx = float(f(x))
         if math.isnan(fx):
@@ -143,6 +142,8 @@ def chi_numeric(psi, w, t_floor=-1e-12):
     try:
         return _brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
     except ValueError as exc:  # psi(t_floor) is still below w
+        if isinstance(exc, FreeconvError):
+            raise
         raise BracketingError(f"no sign change of psi - w up to t = "
                               f"{t_floor:g}; w too close to 0?") from exc
 
@@ -173,6 +174,8 @@ def _chi_symmetric_t(G, w):
         return _brentq(lambda t: psi_symmetric_from_G(G, t) - w, lo, hi,
                        xtol=1e-14)
     except ValueError as exc:  # the bracket holds, so psi(i*t) gave NaN
+        if isinstance(exc, FreeconvError):
+            raise
         raise ConvergenceError(str(exc)) from exc
 
 

@@ -151,7 +151,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
     # size caps: each cap + 1, and a size numpy itself cannot allocate
     cases += [
         density + ("--n", "100000000000000000000"),
-        density + ("--n", "10001"),
+        density + ("--n", "1000001"),
         density + ("--levels", "61"),
         levy + ("--n", "10001"),
         levy + ("--levels", "61"),
@@ -166,7 +166,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         assert err.count("\n") == 1, argv
     # the caps themselves are accepted (parsed only: nothing is built)
     parser = build_parser()
-    for argv in (density + ("--n", "10000", "--levels", "60"),
+    for argv in (density + ("--n", "1000000", "--levels", "60"),
                  levy + ("--n", "10000", "--levels", "60"),
                  fid + ("--nx", "3200", "--ny", "1600")):
         parser.parse_args(list(argv))

@@ -124,9 +124,10 @@ def test_example_densities():
 
 
 def test_cauchy_mix_density_at_tiny_x():
-    # x**2 underflows here; the density is (sqrt2/pi) |x|**-0.5 to far
-    # below roundoff
-    x = np.logspace(-300, -150, 31)
+    # x**2 underflows here, and 1/x overflows for subnormal x; the density
+    # is (sqrt2/pi) |x|**-0.5 to far below roundoff
+    x = np.concatenate([[5e-324, 1e-320, 1e-310, 2.2e-308],
+                        np.logspace(-300, -150, 31)])
     x = np.concatenate([-x[::-1], x])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -134,6 +135,17 @@ def test_cauchy_mix_density_at_tiny_x():
     assert np.all(np.isfinite(got))
     np.testing.assert_allclose(got, np.sqrt(2.0) / np.pi / np.sqrt(np.abs(x)),
                                rtol=1e-12, atol=0)
+    # far out it is 1/(4 pi x**2) to far below roundoff, where the
+    # difference sqrt(1 + sqrt(1 + 1/x**2)) - sqrt2 would cancel to 0;
+    # past the largest double's square root it underflows quietly to 0
+    x = np.logspace(8, 150, 30)
+    x = np.concatenate([-x[::-1], x])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = example_density_cauchy_mix(x)
+        assert example_density_cauchy_mix(np.finfo(float).max) == 0.0
+    np.testing.assert_allclose(got, 0.25 / np.pi / x ** 2, rtol=1e-12,
+                               atol=0)
 
 
 def test_examples_match_inversion():

@@ -221,6 +221,8 @@ def test_brentq_matches_scipy(monkeypatch):
               {"maxiter": 3}),
              (lambda x: x * x + 1.0, -1.0, 1.0, {}),
              (lambda x: np.nan if x > 0.5 else x - 0.75, 0.0, 1.0, {})]
+    for _, _, _, kw in cases:
+        kw.setdefault("xtol", 2e-12)  # scipy's default
     for f, a, b, kw in cases:
         assert _counted(port, f, a, b, **kw) == _counted(brentq, f, a, b,
                                                          **kw)
@@ -228,10 +230,10 @@ def test_brentq_matches_scipy(monkeypatch):
 
 def test_brentq_failures():
     with pytest.raises(ValueError):
-        transforms._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        transforms._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
     with pytest.raises(ConvergenceError):
         transforms._brentq(lambda x: np.arctan(1e3 * (x - 0.3)), -7.0, 9.0,
-                           maxiter=3)
+                           xtol=1e-14, maxiter=3)
     # psi(t_floor) is still below w: the bad bracket is a BracketingError
     with pytest.raises(BracketingError):
         chi_numeric(lambda t: psi_from_G(mp_cauchy, t), -1e-15)
@@ -243,6 +245,28 @@ def test_brentq_failures():
 
     with pytest.raises(ConvergenceError, match="NaN"):
         s_transform_numeric(G_nan, -0.5, kind="symmetric")
+
+    # a DomainError raised inside the bracket, at a point the bracket
+    # search never visits, reaches the caller unchanged in both solves:
+    # the bracket is [1e-6, 2] here (t = 1 and 2 tried), the solve steps
+    # into 1 < t < 2, i.e. 1/2 < |z| < 1
+    def G_domain(z):
+        if 0.5 < abs(z) < 1.0:
+            raise DomainError("G undefined here")
+        return z / (z * z - 1.0)
+
+    with pytest.raises(DomainError, match="G undefined here"):
+        s_transform_numeric(G_domain, -0.5, kind="symmetric")
+
+    # psi(t) = t/(1 - t): the bracket is [-2, -1e-12] (t = -1 and -2
+    # tried), the root is -1.5
+    def psi_domain(t):
+        if -1.99 < t < -1.01:
+            raise DomainError("psi undefined here")
+        return t / (1.0 - t)
+
+    with pytest.raises(DomainError, match="psi undefined here"):
+        chi_numeric(psi_domain, -0.6)
 
 
 def test_s_transform_non_convergence_exits_1(monkeypatch, capsys):
