@@ -29,6 +29,9 @@ from .errors import AdmissibilityError, BranchCutError, DomainError
 # tolerance for angle comparisons against the admissible-sector boundary
 ANGLE_TOL = 1e-12
 
+# columns per continuation block in _phi_tracked_block
+_TRACK_BLOCK = 512
+
 
 def is_admissible(alpha, s):
     """True iff (alpha, s) lies in the admissible sector.
@@ -277,12 +280,18 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     path = np.sort(np.concatenate(
         [np.geomspace(y_top, float(ys_desc[-1]), n_dense), ys_desc]))
     path = path[np.append(True, path[1:] != path[:-1])][::-1]
-    Z = xs[None, :] + 1j * path[:, None]
-    with np.errstate(all="ignore"):
-        f_inv, ok = _F_masked(alpha, sp, rp, Z, track=True)
-    phi = f_inv - Z
     idx = np.searchsorted(-path, -ys_desc)
-    return phi[idx, :], ok[idx, :]
+    phi = np.empty((ys_desc.size, xs.size), dtype=complex)
+    ok = np.empty(phi.shape, dtype=bool)
+    # columns are continued independently: a block of them at a time keeps
+    # the dense path's memory bounded, and only the ys_desc rows are kept
+    for j in range(0, xs.size, _TRACK_BLOCK):
+        Z = xs[None, j:j + _TRACK_BLOCK] + 1j * path[:, None]
+        with np.errstate(all="ignore"):
+            f_inv, ok_b = _F_masked(alpha, sp, rp, Z, track=True)
+        phi[:, j:j + _TRACK_BLOCK] = f_inv[idx] - Z[idx]
+        ok[:, j:j + _TRACK_BLOCK] = ok_b[idx]
+    return phi, ok
 
 
 def phi_boundary(params, x, ys_desc):

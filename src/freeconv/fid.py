@@ -17,8 +17,8 @@ import numpy as np
 
 from .branches import _branch_log, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
-from .family import (_F_masked, _phi_tracked_block, _stage1, _worst,
-                     phi_boundary)
+from .family import (_F_masked, _phi_tracked_block, _stage1, _upper,
+                     _worst, phi_boundary)
 from .stieltjes import DensityTable, _ladder, _richardson
 
 _GAUSS_N = 200
@@ -439,42 +439,52 @@ def ui_counterexample_map(z):
     return _scalar(out)
 
 
-def _eval_clean(f, z):
-    with np.errstate(all="ignore"):
-        w = np.asarray(f(np.asarray([z], dtype=complex)), dtype=complex)[0]
-    return complex(w)
-
-
 def _refine_collision(f, z1, z2, min_sep, val_tol):
-    """Newton-polish f(z) = f(z1) starting from z2; accept only if the
-    solution stays in the upper half-plane and away from z1."""
-    target = _eval_clean(f, z1)
-    if not (np.isfinite(target.real) and np.isfinite(target.imag)):
+    """Newton-polish f(z) = f(z1[k]) from z2[k] for every candidate k at
+    once; returns the first pair (z1[k], z), in candidate order, whose
+    solution z stays in the upper half-plane and away from z1[k], or None.
+
+    Each candidate takes the steps it would take alone: a central
+    difference with h = 1e-6 (1 + |z|), steps capped at (1 + |z|)/2, and
+    rejection on leaving the half-plane, a non-finite value or a zero
+    derivative; 40 iterations at most.  f is called at most 42 times,
+    whatever the number of candidates.
+    """
+    with np.errstate(all="ignore"):
+        target = np.asarray(f(z1), dtype=complex)
+        z = z2.copy()
+        live = np.isfinite(target)
+        done = np.zeros(z1.size, dtype=bool)
+        for _ in range(40):
+            k = np.nonzero(live)[0]
+            if not k.size:
+                break
+            zk = z[k]
+            h = 1e-6 * (1.0 + np.abs(zk))
+            w, wp, wm = np.split(np.asarray(
+                f(np.concatenate([zk, zk + h, zk - h])), dtype=complex), 3)
+            d = w - target[k]
+            ok = np.isfinite(w)
+            conv = ok & (np.abs(d) < val_tol)
+            done[k[conv]] = True
+            der = (wp - wm) / (2.0 * h)
+            step = d / der
+            mag = np.abs(step)
+            cap = 0.5 * (1.0 + np.abs(zk))
+            step = np.where(mag > cap, step * (cap / mag), step)
+            z[k] = np.where(conv, zk, zk - step)
+            live[k] = (ok & ~conv & (der != 0) & np.isfinite(der.real)
+                       & (z[k].imag > 0))
+        k = np.nonzero(done)[0]
+        if not k.size:
+            return None
+        good = ((np.abs(z[k] - z1[k]) > min_sep)
+                & (np.abs(np.asarray(f(z[k]), dtype=complex) - target[k])
+                   < val_tol))
+    if not np.any(good):
         return None
-    z = complex(z2)
-    for _ in range(40):
-        w = _eval_clean(f, z)
-        if not (np.isfinite(w.real) and np.isfinite(w.imag)):
-            return None
-        d = w - target
-        if abs(d) < val_tol:
-            break
-        h = 1e-6 * (1.0 + abs(z))
-        der = (_eval_clean(f, z + h) - _eval_clean(f, z - h)) / (2.0 * h)
-        if der == 0 or not np.isfinite(der.real):
-            return None
-        step = d / der
-        cap = 0.5 * (1.0 + abs(z))
-        if abs(step) > cap:
-            step *= cap / abs(step)
-        z = z - step
-        if z.imag <= 0:
-            return None
-    else:
-        return None
-    if abs(z - z1) > min_sep and abs(_eval_clean(f, z) - target) < val_tol:
-        return complex(z1), complex(z)
-    return None
+    i = k[np.argmax(good)]
+    return complex(z1[i]), complex(z[i])
 
 
 def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
@@ -482,20 +492,22 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
     """Search for z1 != z2 in pts (separation > min_sep) with
     f(z1) = f(z2) to val_tol.
 
-    Values are indexed in a k-d tree; near-coincident pairs (within one
-    median value-space grid step) are polished by a Newton solve.
-    Candidates are processed in order of value distance, so the result is
+    pts must lie in the open upper half-plane, and f must act elementwise
+    on complex arrays: it is called on all of pts at once and then on
+    arrays of candidates.  Values are indexed in a k-d tree; near-
+    coincident pairs (within one median value-space grid step) are ordered
+    by value distance and Newton-polished together, and the first
+    confirmed pair in that order is returned, so the result is
     deterministic.  Returns (z1, z2) or None.
     """
     # scipy is imported here, not at module level, so that the CLI, which
     # never searches for collisions, starts without loading it
     from scipy.spatial import cKDTree
 
-    pts = np.asarray(pts, dtype=complex).ravel()
+    pts = _upper(np.asarray(pts, dtype=complex).ravel())
     with np.errstate(all="ignore"):
         vals = np.asarray(f(pts), dtype=complex)
-    finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
-    idx = np.nonzero(finite)[0]
+    idx = np.nonzero(np.isfinite(vals))[0]
     if idx.size < 2:
         return None
     v = vals[idx]
@@ -503,26 +515,29 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
     gaps = gaps[gaps > 0]
     radius = float(np.median(gaps)) if gaps.size else val_tol
     tree = cKDTree(np.column_stack([v.real, v.imag]))
-    cands = []
-    for a, b in sorted(tree.query_pairs(r=radius)):
-        ia, ib = int(idx[a]), int(idx[b])
-        sep = abs(pts[ia] - pts[ib])
-        if sep <= min_sep:
-            continue
-        cands.append((abs(v[a] - v[b]), ia, ib))
-    cands.sort()
-    for _, ia, ib in cands[:max_candidates]:
-        hit = _refine_collision(f, pts[ia], pts[ib], min_sep, val_tol)
-        if hit is not None:
-            return hit
-    return None
+    a, b = tree.query_pairs(r=radius, output_type="ndarray").T
+    ia, ib = idx[a], idx[b]
+    dist = np.abs(v[a] - v[b])
+    keep = np.abs(pts[ia] - pts[ib]) > min_sep
+    if np.count_nonzero(keep) > max_candidates > 0:
+        # only the max_candidates nearest can be taken; ties at the cut
+        # stay in for the (ia, ib) tie-break
+        keep &= dist <= np.partition(dist[keep],
+                                     max_candidates - 1)[max_candidates - 1]
+    ia, ib, dist = ia[keep], ib[keep], dist[keep]
+    order = np.lexsort((ib, ia, dist))[:max_candidates]
+    if not order.size:
+        return None
+    return _refine_collision(f, pts[ia[order]], pts[ib[order]], min_sep,
+                             val_tol)
 
 
 def ui_heuristic(params, grid, min_sep=1e-3, val_tol=1e-12):
     """Collision search on the reciprocal transform and on its inverse map
-    over the grid; None when nothing is confirmed, else a dict naming the
-    map and the colliding pair.  Heuristic evidence only: a clean pass
-    does not prove injectivity."""
+    over the grid, which must lie in the open upper half-plane; None when
+    nothing is confirmed, else a dict naming the map and the colliding
+    pair.  Heuristic evidence only: a clean pass does not prove
+    injectivity."""
     grid = np.asarray(grid, dtype=complex).ravel()
 
     def fwd(z):

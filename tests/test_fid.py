@@ -1,9 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from freeconv import fid
+from freeconv import family, fid
 from freeconv import (DomainError, FamilyParams, StableParams, cauchy_G,
                       check_fid_grid, collision_search, e_function,
                       find_E_zero, im_phi_cubic_pi2, levy_beta_closed,
@@ -95,6 +96,33 @@ def test_levy_table_matches_pointwise():
     np.testing.assert_allclose(tab.values, levy_cubic_closed(xs), atol=1e-5)
     with pytest.raises(DomainError):
         levy_table(cubic, np.array([0.0, 1.0]))
+
+
+def test_levy_table_blocks_are_exact(monkeypatch):
+    # columns are continued independently, so the block size cannot
+    # change a single bit of the table
+    cubic = FamilyParams(1.0, 3j, 3.0)
+    xs = np.linspace(-3.0, 3.0, 400)
+    monkeypatch.setattr(family, "_TRACK_BLOCK", 10 ** 6)
+    whole = levy_table(cubic, xs)
+    monkeypatch.setattr(family, "_TRACK_BLOCK", 7)
+    blocked = levy_table(cubic, xs)
+    assert np.array_equal(whole.values, blocked.values)
+    assert np.array_equal(whole.errs, blocked.errs)
+
+
+def test_levy_table_memory_is_bounded():
+    # the dense descent path is held for one block of columns at a time;
+    # holding it for all 20000 points at once peaked above 300 MB
+    cubic = FamilyParams(1.0, 3j, 3.0)
+    xs = np.linspace(-5.0, 5.0, 20000)
+    tracemalloc.start()
+    try:
+        levy_table(cubic, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_find_E_zero():
