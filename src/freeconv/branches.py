@@ -60,13 +60,38 @@ def _log_principal_raw(z):
     return np.log(np.abs(z)) + 1j * ang
 
 
+def _unwrap_rows(p):
+    """np.unwrap(p, axis=0) of a float array, bit for bit, with the modular
+    correction computed only where a step down axis 0 is not below pi in
+    size.
+
+    Continued arguments almost never jump, so the mod and the running sum
+    of corrections are skipped when nothing does.  A NaN step counts as a
+    jump, and its NaN correction spreads down the rest of its column.
+    """
+    dd = np.diff(p, axis=0)
+    jump = np.nonzero(~(np.abs(dd) < np.pi))
+    up = p.copy()
+    # np.unwrap adds a correction of +0.0 to every row but the first,
+    # which turns -0.0 into +0.0
+    up[1:] += 0.0
+    if jump[0].size:
+        d = dd[jump]
+        dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
+        dmod[(dmod == -np.pi) & (d > 0)] = np.pi
+        ph = np.zeros_like(dd)
+        ph[jump] = dmod - d
+        up[1:] += np.cumsum(ph, axis=0)
+    return up
+
+
 def _branch_log(w, ok, track=False, upper=False):
     """(log w, ok) on the principal or (upper=True) the upper-cut branch;
     points on the cut are masked.  With track, the argument is instead
     continued down axis 0 from the first row (lifted into (0, 2*pi] for
     the upper branch) and nothing is masked."""
     if track:
-        th = np.unwrap(np.angle(w), axis=0)
+        th = _unwrap_rows(np.angle(w))
         if upper:
             th = th + np.where(th[0] <= 0.0, 2.0 * np.pi, 0.0)
         return np.log(np.abs(w)) + 1j * th, ok

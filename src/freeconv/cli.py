@@ -19,10 +19,11 @@ import numpy as np
 
 from . import __version__
 from .errors import DomainError, FreeconvError
-from .family import (FamilyParams, _worst, cauchy_G, default_cone, inverse_F,
-                     reciprocal_F, verification_cone, verify_composition,
-                     verify_self_similarity, voiculescu_phi)
-from .fid import _thread_count, check_fid_grid, levy_triplet
+from .family import (FamilyParams, _thread_count, _worst, cauchy_G,
+                     default_cone, inverse_F, reciprocal_F, verification_cone,
+                     verify_composition, verify_self_similarity,
+                     voiculescu_phi)
+from .fid import check_fid_grid, levy_triplet
 from .stable_poisson import StableParams, mp_density, stable_density
 from .stieltjes import (DensityTable, build_density_table,
                         closed_beta_density, closed_symmetric_beta_density,
@@ -219,10 +220,6 @@ def cmd_fid(args):
     params = _family(args)
     if args.format != "json":
         return _config_error("fid reports are JSON only")
-    try:
-        _thread_count()
-    except DomainError as exc:
-        return _config_error(str(exc))
     given = [args.xmin, args.xmax, args.ymin, args.ymax]
     rect = None
     if any(v is not None for v in given):
@@ -442,6 +439,10 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        try:
+            _thread_count()  # every tracked continuation reads it
+        except DomainError as exc:
+            return _config_error(str(exc))
         return args.func(args)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

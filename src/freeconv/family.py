@@ -18,6 +18,8 @@ F(alpha, s, r)^{-1} = F(alpha, s/r, 1/r).  More generally
 holds on truncated cones for any r, u > 0.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +31,20 @@ from .errors import AdmissibilityError, BranchCutError, DomainError
 # tolerance for angle comparisons against the admissible-sector boundary
 ANGLE_TOL = 1e-12
 
-# columns per continuation block in _phi_tracked_block
-_TRACK_BLOCK = 512
+# points (path rows x columns) per continuation block in
+# _phi_tracked_block: small enough for a block's temporaries to stay in
+# cache, large enough for numpy to release the GIL for most of its time
+_TRACK_BLOCK_POINTS = 2 ** 15
+
+
+def _thread_count():
+    """Worker threads for the tracked continuation: FREECONV_THREADS (an
+    integer >= 1) or 4, capped at the CPU count."""
+    env = os.environ.get("FREECONV_THREADS", "")
+    if env and not (env.strip().isdigit() and int(env) >= 1):
+        raise DomainError(f"FREECONV_THREADS must be an integer >= 1, "
+                          f"got {env!r}")
+    return min(int(env) if env else 4, os.cpu_count() or 1)
 
 
 def is_admissible(alpha, s):
@@ -255,11 +269,14 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     truncated cone; descending toward the real axis its two non-integer
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
-    are lifted continuously (numpy unwrap) along a dense geometric descent,
+    are lifted continuously (unwrapped) along a dense geometric descent,
     staying on the sheet that continues the cone values.  ys_desc must be
     finite, positive and strictly decreasing.  Returns (phi, ok) with rows
     matching ys_desc; a column is masked below any point where the
     continuation degenerates (zero or infinity in an intermediate).
+    Blocks of columns run on _thread_count() threads when there are two
+    or more; the result does not depend on the thread count or the block
+    size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys_desc = np.asarray(ys_desc, dtype=float).ravel()
@@ -283,14 +300,26 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     idx = np.searchsorted(-path, -ys_desc)
     phi = np.empty((ys_desc.size, xs.size), dtype=complex)
     ok = np.empty(phi.shape, dtype=bool)
-    # columns are continued independently: a block of them at a time keeps
-    # the dense path's memory bounded, and only the ys_desc rows are kept
-    for j in range(0, xs.size, _TRACK_BLOCK):
-        Z = xs[None, j:j + _TRACK_BLOCK] + 1j * path[:, None]
+    # columns are continued independently: blocks of them keep the dense
+    # path's memory bounded, each block writes only its own columns, and
+    # only the ys_desc rows are kept
+    width = max(1, _TRACK_BLOCK_POINTS // path.size)
+    starts = range(0, xs.size, width)
+
+    def run(j):
+        Z = xs[None, j:j + width] + 1j * path[:, None]
         with np.errstate(all="ignore"):
             f_inv, ok_b = _F_masked(alpha, sp, rp, Z, track=True)
-        phi[:, j:j + _TRACK_BLOCK] = f_inv[idx] - Z[idx]
-        ok[:, j:j + _TRACK_BLOCK] = ok_b[idx]
+        phi[:, j:j + width] = f_inv[idx] - Z[idx]
+        ok[:, j:j + width] = ok_b[idx]
+
+    nthreads = _thread_count() if len(starts) > 1 else 1
+    if nthreads > 1:
+        with ThreadPoolExecutor(max_workers=nthreads) as pool:
+            list(pool.map(run, starts))  # re-raises a worker's exception
+    else:
+        for j in starts:
+            run(j)
     return phi, ok
 
 

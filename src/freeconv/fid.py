@@ -9,8 +9,7 @@ obstruction points; and ui_heuristic searches for injectivity failures of
 the reciprocal transform and its inverse.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,19 +18,11 @@ from .branches import _branch_log, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
 from .family import (_F_masked, _phi_tracked_block, _stage1, _upper,
                      _worst, phi_boundary)
+# perfbench records the pool size it ran with as fid._thread_count()
+from .family import _thread_count  # noqa: F401
 from .stieltjes import DensityTable, _ladder, _richardson
 
 _GAUSS_N = 200
-
-
-def _thread_count():
-    """Worker threads for the fid scan: FREECONV_THREADS (an integer >= 1)
-    or 4, capped at the CPU count."""
-    env = os.environ.get("FREECONV_THREADS", "")
-    if env and not (env.strip().isdigit() and int(env) >= 1):
-        raise DomainError(f"FREECONV_THREADS must be an integer >= 1, "
-                          f"got {env!r}")
-    return min(int(env) if env else 4, os.cpu_count() or 1)
 
 
 @dataclass
@@ -90,25 +81,10 @@ def default_fid_rect(params):
 
 def _phi_im_grid(params, xs, ys):
     """(Im phi, ok) over the grid, rows indexed by ascending ys; columns
-    are continued independently from the cone, evaluated in thread chunks.
-    Chunking is order-preserving, so results are deterministic."""
-    nthreads = _thread_count()
-    ys_desc = ys[::-1]
-
-    def run(cols):
-        phi, ok = _phi_tracked_block(params.alpha, params.s, params.r,
-                                     xs[cols], ys_desc)
-        return phi.imag[::-1, :], ok[::-1, :]
-
-    if nthreads == 1 or len(xs) < 8:
-        return run(np.arange(len(xs)))
-    chunks = [c for c in np.array_split(np.arange(len(xs)), 2 * nthreads)
-              if c.size]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        parts = list(pool.map(run, chunks))
-    im = np.hstack([p for p, _ in parts])
-    ok = np.hstack([o for _, o in parts])
-    return im, ok
+    are continued independently from the cone (see _phi_tracked_block)."""
+    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
+                                 ys[::-1])
+    return phi.imag[::-1, :], ok[::-1, :]
 
 
 def _confirm_violation(params, xs, ys, i, j, tol):
@@ -369,8 +345,18 @@ def levy_table(params, xs, y0=None, levels=8):
                         errs=err / xs ** 2, y_ladder=ladder)
 
 
-def _gauss_nodes(u, v):
+@functools.cache
+def _gauss_rule():
+    """The _GAUSS_N-point Gauss-Legendre rule on [-1, 1], built once per
+    process and read-only, since every caller shares it."""
     nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_N)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_nodes(u, v):
+    nodes, weights = _gauss_rule()
     mid, half = 0.5 * (u + v), 0.5 * (v - u)
     return mid + half * nodes, half * weights
 

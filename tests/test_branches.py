@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeconv import BranchCutError, ConvergenceError, DomainError
-from freeconv.branches import (binom_coeff, binom_series, log_principal,
-                               log_upper, pow_principal, pow_upper)
+from freeconv.branches import (_unwrap_rows, binom_coeff, binom_series,
+                               log_principal, log_upper, pow_principal,
+                               pow_upper)
 
 
 def test_log_upper_frozen_points():
@@ -148,3 +149,29 @@ def test_vectorized_forms():
     zs = np.array([4.0, 1j])
     np.testing.assert_allclose(pow_principal(zs, 0.5),
                                [2.0, np.exp(1j * np.pi / 4)], atol=1e-15)
+
+
+def test_unwrap_rows_is_numpy_unwrap():
+    # bit for bit, sign of zero included, on steps that jump, steps of
+    # exactly +-pi, and NaN and inf, which poison the rest of a column
+    special = np.array([np.nan, np.inf, -np.inf, np.pi, -np.pi, 0.0, -0.0,
+                        2.0 * np.pi, np.nextafter(np.pi, 0.0),
+                        np.nextafter(np.pi, 4.0)])
+    rng = np.random.default_rng(5)
+    for k in range(500):
+        shape = (int(rng.integers(1, 30)),) + ((int(rng.integers(1, 9)),)
+                                                if k % 3 else ())
+        if k % 4 == 0:
+            p = np.cumsum(rng.choice([0.0, np.pi, -np.pi, -0.0], shape),
+                          axis=0)
+        elif k % 4 == 1:  # no jump at all
+            p = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], shape)
+        else:
+            p = rng.uniform(-12.0, 12.0, shape)
+        if k % 4 > 1:
+            hit = rng.random(shape) < 0.2
+            p[hit] = rng.choice(special, int(hit.sum()))
+        with np.errstate(invalid="ignore"):
+            got, want = _unwrap_rows(p), np.unwrap(p, axis=0)
+        assert np.array_equal(got, want, equal_nan=True), p
+        assert np.array_equal(np.signbit(got), np.signbit(want)), p

@@ -170,14 +170,18 @@ def test_config_errors_exit_2(capsys, monkeypatch):
                  levy + ("--n", "10000", "--levels", "60"),
                  fid + ("--nx", "3200", "--ny", "1600")):
         parser.parse_args(list(argv))
-    # the fid thread count from the environment: an integer >= 1
+    # the continuation's thread count from the environment: an integer
+    # >= 1, checked before any subcommand runs
     for bad in ("abc", "0", "-1"):
         monkeypatch.setenv("FREECONV_THREADS", bad)
-        code, out, err = run(capsys, "fid", "--alpha", "1", "--s", "-1",
-                             "--r", "2", "--nx", "8", "--ny", "4")
-        assert code == 2, bad
-        assert out == ""
-        assert err.startswith("config error:") and err.count("\n") == 1
+        for argv in (("fid", "--alpha", "1", "--s", "-1", "--r", "2",
+                      "--nx", "8", "--ny", "4"),
+                     ("levy", "--alpha", "1", "--s", "3i", "--r", "3",
+                      "--xmin=-2", "--xmax", "2", "--n", "1001")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (bad, argv)
+            assert out == ""
+            assert err.startswith("config error:") and err.count("\n") == 1
 
 
 def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -99,16 +100,40 @@ def test_levy_table_matches_pointwise():
 
 
 def test_levy_table_blocks_are_exact(monkeypatch):
-    # columns are continued independently, so the block size cannot
-    # change a single bit of the table
+    # columns are continued independently, so neither the block size nor
+    # the number of threads can change a single bit of the result
     cubic = FamilyParams(1.0, 3j, 3.0)
     xs = np.linspace(-3.0, 3.0, 400)
-    monkeypatch.setattr(family, "_TRACK_BLOCK", 10 ** 6)
-    whole = levy_table(cubic, xs)
-    monkeypatch.setattr(family, "_TRACK_BLOCK", 7)
-    blocked = levy_table(cubic, xs)
-    assert np.array_equal(whole.values, blocked.values)
-    assert np.array_equal(whole.errs, blocked.errs)
+    grid = (np.linspace(-4.0, 4.0, 120), np.geomspace(1e-6, 4.0, 60))
+
+    def results():
+        tab = levy_table(cubic, xs)
+        out = [tab.values, tab.errs]
+        for m in ((1.0, -3.0, 3.0), (1.0, -1.0, 2.0)):
+            out += fid._phi_im_grid(FamilyParams(*m), *grid)
+        return out
+
+    monkeypatch.delenv("FREECONV_THREADS", raising=False)
+    pooled = results()
+    monkeypatch.setattr(family, "_TRACK_BLOCK_POINTS", 10 ** 9)
+    whole = results()
+    monkeypatch.setattr(family, "_TRACK_BLOCK_POINTS", 1)  # one column
+    columns = results()
+    # more threads than cores, switching as often as the interpreter
+    # allows: the workers' disjoint column writes must still all land
+    monkeypatch.setattr(family, "_thread_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = results()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.undo()
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    serial = results()
+    for other in (whole, columns, stressed, serial):
+        for a, b in zip(pooled, other):
+            assert np.array_equal(a, b)
 
 
 def test_levy_table_memory_is_bounded():
@@ -254,14 +279,15 @@ def test_ui_heuristic_clean():
 
 def test_thread_count_env(monkeypatch):
     cpus = os.cpu_count() or 1
+    assert fid._thread_count is family._thread_count
     monkeypatch.delenv("FREECONV_THREADS", raising=False)
-    assert fid._thread_count() == min(4, cpus)
+    assert family._thread_count() == min(4, cpus)
     monkeypatch.setenv("FREECONV_THREADS", "1")
-    assert fid._thread_count() == 1
+    assert family._thread_count() == 1
     # values past the CPU count are capped, never handed to the pool
     monkeypatch.setenv("FREECONV_THREADS", "100000")
-    assert fid._thread_count() == cpus
+    assert family._thread_count() == cpus
     for bad in ("abc", "0", "-2", "1.5"):
         monkeypatch.setenv("FREECONV_THREADS", bad)
         with pytest.raises(DomainError):
-            fid._thread_count()
+            family._thread_count()
