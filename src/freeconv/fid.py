@@ -473,6 +473,57 @@ def _refine_collision(f, z1, z2, min_sep, val_tol):
     return complex(z1[i]), complex(z[i])
 
 
+# cells per axis are capped so that a cell key fits an int64; the cells
+# are a little wider than the search radius, so that rounding in the cell
+# index cannot split a pair at exactly the radius across two cells
+_CELLS_PER_AXIS = 2 ** 28
+_CELL_SLACK = 1.0 + 2.0 ** -20
+
+
+def _close_pairs(x, y, radius):
+    """Index pairs (a, b), a < b, of the points (x, y) with
+    dx*dx + dy*dy <= radius*radius, the predicate of a k-d tree's pair
+    query.
+
+    The points are hashed into square cells at least radius wide and
+    sorted by cell key, column-major, so that a point's own cell and the
+    cell above it are one run of the sorted keys, and the three cells of
+    the next column are another.  Pairing each point with the later
+    points of the first run and all of the second meets every pair of
+    points in the same or adjacent cells exactly once.
+    """
+    # halved coordinates cannot overflow when shifted to start at 0
+    gx = 0.5 * x - 0.5 * np.min(x)
+    gy = 0.5 * y - 0.5 * np.min(y)
+    width = max(0.5 * radius * _CELL_SLACK,
+                float(np.max(gx)) / _CELLS_PER_AXIS,
+                float(np.max(gy)) / _CELLS_PER_AXIS,
+                np.finfo(float).tiny)
+    cx = np.floor(gx / width).astype(np.int64)
+    cy = np.floor(gy / width).astype(np.int64) + 1
+    rows = int(cy.max()) + 2
+    key = cx * rows + cy
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    n = skey.size
+    lo = np.concatenate([np.arange(1, n + 1),
+                         np.searchsorted(skey, skey + (rows - 1))])
+    hi = np.concatenate([np.searchsorted(skey, skey + 1, side="right"),
+                         np.searchsorted(skey, skey + (rows + 1),
+                                         side="right")])
+    count = hi - lo
+    first = np.repeat(np.tile(np.arange(n), 2), count)
+    # lo[i], lo[i] + 1, ... for each run of count[i] partners
+    start = np.cumsum(count) - count
+    second = np.repeat(lo - start, count) + np.arange(first.size)
+    a, b = order[first], order[second]
+    ddx, ddy = x[a] - x[b], y[a] - y[b]
+    with np.errstate(over="ignore"):
+        near = ddx * ddx + ddy * ddy <= radius * radius
+    a, b = a[near], b[near]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
                      max_candidates=200):
     """Search for z1 != z2 in pts (separation > min_sep) with
@@ -480,16 +531,17 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
 
     pts must lie in the open upper half-plane, and f must act elementwise
     on complex arrays: it is called on all of pts at once and then on
-    arrays of candidates.  Values are indexed in a k-d tree; near-
-    coincident pairs (within one median value-space grid step) are ordered
-    by value distance and Newton-polished together, and the first
-    confirmed pair in that order is returned, so the result is
-    deterministic.  Returns (z1, z2) or None.
-    """
-    # scipy is imported here, not at module level, so that the CLI, which
-    # never searches for collisions, starts without loading it
-    from scipy.spatial import cKDTree
+    arrays of candidates.  Near-coincident pairs (within one median
+    value-space grid step) are ordered by value distance and
+    Newton-polished together, and the first confirmed pair in that order
+    is returned, so the result is deterministic.  Returns (z1, z2) or
+    None.
 
+    The pairs come from a cell hash of the values.  It starts at a
+    quarter of the grid step and doubles the radius until the
+    max_candidates nearest pairs lie strictly inside it, so the
+    candidates are those of the full-radius query.
+    """
     pts = _upper(np.asarray(pts, dtype=complex).ravel())
     with np.errstate(all="ignore"):
         vals = np.asarray(f(pts), dtype=complex)
@@ -500,11 +552,22 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
     gaps = np.abs(np.diff(v))
     gaps = gaps[gaps > 0]
     radius = float(np.median(gaps)) if gaps.size else val_tol
-    tree = cKDTree(np.column_stack([v.real, v.imag]))
-    a, b = tree.query_pairs(r=radius, output_type="ndarray").T
-    ia, ib = idx[a], idx[b]
-    dist = np.abs(v[a] - v[b])
-    keep = np.abs(pts[ia] - pts[ib]) > min_sep
+    r = 0.25 * radius if max_candidates > 0 else radius
+    while True:
+        a, b = _close_pairs(v.real, v.imag, r)
+        ia, ib = idx[a], idx[b]
+        dist = np.abs(v[a] - v[b])
+        keep = np.abs(pts[ia] - pts[ib]) > min_sep
+        if r >= radius:
+            break
+        if np.count_nonzero(keep) >= max_candidates:
+            kth = np.partition(dist[keep], max_candidates - 1)[
+                max_candidates - 1]
+            # the margin covers the rounding between dist and the
+            # squared-distance predicate
+            if kth < r * (1.0 - 1e-12):
+                break
+        r = min(2.0 * r, radius)
     if np.count_nonzero(keep) > max_candidates > 0:
         # only the max_candidates nearest can be taken; ties at the cut
         # stay in for the (ia, ib) tie-break

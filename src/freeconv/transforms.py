@@ -23,9 +23,9 @@ from .stable_poisson import (StableParams, is_positive_supported,
 def _brentq(f, a, b, xtol, maxiter=100):
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy's brentq.c with its rtol and maxiter
+    A line-for-line port of SciPy's brentq.c with its rtol and maxiter
     defaults, so for the same xtol it takes the same iterates and makes the
-    same evaluations as scipy.optimize.brentq.  f(a) and f(b) of one sign,
+    same evaluations as SciPy's optimize.brentq.  f(a) and f(b) of one sign,
     or a NaN value of f, raise ValueError; no convergence within maxiter
     raises ConvergenceError.
     """

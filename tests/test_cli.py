@@ -107,6 +107,20 @@ def test_density_cauchy_mix_near_zero(capsys):
                                / np.sqrt(np.abs(xs)), rtol=1e-12, atol=0)
 
 
+def test_density_halfstable_far_out(capsys):
+    # the difference form printed 0, 3.8e-11 and 0 here, with a clamp
+    # warning; the density is about x**-1.5 / (2 pi)
+    code, out, err = run(capsys, "density", "--measure", "half-stable",
+                         "--xmin", "1e11", "--xmax", "1e12", "--n", "3")
+    assert code == 0
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[3:]]
+    xs = np.array([float(r[0]) for r in rows])
+    vals = np.array([float(r[1]) for r in rows])
+    np.testing.assert_allclose(vals, xs ** -1.5 / (2.0 * np.pi), rtol=1e-5,
+                               atol=0)
+
+
 def test_config_errors_exit_2(capsys, monkeypatch):
     cases = [
         ("density", "--measure", "family", "--alpha", "1", "--s", "-1",

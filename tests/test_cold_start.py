@@ -1,8 +1,9 @@
-"""The CLI starts without scipy.
+"""The library and the CLI run without scipy.
 
-scipy is imported only inside quadrature, collision_search and
-ui_heuristic, none of which a CLI subcommand calls.  The check runs in a
-fresh interpreter, so that scipy imported by other tests does not leak in.
+The runtime needs numpy alone.  The check runs in a fresh interpreter in
+which scipy cannot be imported (sys.modules["scipy"] is None), so that
+scipy imported by other tests does not leak in and any import of it
+fails.
 """
 
 import os
@@ -16,10 +17,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(freeconv.__file__)))
 
 SCRIPT = textwrap.dedent("""
     import contextlib, io, sys
+    sys.modules["scipy"] = None  # import scipy now raises ImportError
+
+    import numpy as np
 
     def scipy_loaded():  # the first few, to keep a failure readable
-        return sorted(m for m in sys.modules
-                      if m == "scipy" or m.startswith("scipy."))[:5]
+        return sorted(m for m, mod in sys.modules.items() if mod is not None
+                      and (m == "scipy" or m.startswith("scipy.")))[:5]
 
     import freeconv
     assert not scipy_loaded(), ("import freeconv", scipy_loaded())
@@ -29,6 +33,17 @@ SCRIPT = textwrap.dedent("""
             code = main(argv)
         assert code == 0, (argv, code)
         assert not scipy_loaded(), (argv, scipy_loaded())
+
+    grid = (np.linspace(-1.0, 1.0, 21)[None, :]
+            + 1j * np.linspace(0.1, 1.0, 10)[:, None]).ravel()
+    hit = freeconv.ui_heuristic(freeconv.FamilyParams(2.0, 1.0, 2.0), grid)
+    assert hit is not None and hit["map"] == "inverse_F", hit
+    hit = freeconv.collision_search(freeconv.ui_counterexample_map, grid)
+    assert hit is not None, hit
+    total = freeconv.quadrature(freeconv.mp_density, 0.0, 4.0,
+                                left_exp=-0.5, right_exp=0.5)
+    assert abs(total - 1.0) < 1e-12, total
+    assert not scipy_loaded(), ("library", scipy_loaded())
     print("ok")
 """)
 

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -146,6 +147,30 @@ def test_cauchy_mix_density_at_tiny_x():
         assert example_density_cauchy_mix(np.finfo(float).max) == 0.0
     np.testing.assert_allclose(got, 0.25 / np.pi / x ** 2, rtol=1e-12,
                                atol=0)
+
+
+def test_halfstable_density_over_the_doubles():
+    # against the original difference form at enough digits that its
+    # cancellation (about 2 log10 x digits) leaves 120 of them
+    def ref(x):
+        with mpmath.workdps(120 + int(2.5 * max(0.0, np.log10(x)))):
+            t = mpmath.mpf(x)
+            return (4 * mpmath.sqrt(2) / mpmath.pi) * (
+                1 / mpmath.sqrt(2 * t) - mpmath.sqrt(mpmath.sqrt(1 + 1 / t)
+                                                     - 1))
+    x = np.concatenate([[5e-324, 1e-320, 1e-310, 2.2e-308],
+                        np.logspace(-300, 300, 241), [1e4, 1e8, 1e12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = example_density_halfstable(x)
+        assert example_density_halfstable(np.finfo(float).max) == 0.0
+    tiny = np.finfo(float).tiny
+    for xi, g in zip(x, got):
+        want = ref(xi)
+        if want >= tiny:
+            assert abs(g - want) <= 2e-15 * want, xi
+        else:  # subnormal or underflowed: within one subnormal step
+            assert abs(g - want) <= 5e-324, xi
 
 
 def test_examples_match_inversion():
