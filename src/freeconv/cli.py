@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -436,7 +437,18 @@ def build_parser():
     return ap
 
 
+def _warning_line(message, category, filename, lineno, file=None,
+                  line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line  # one stderr line per warning
+        return _run(argv)
+
+
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
         try:

@@ -7,89 +7,18 @@ stable laws and the r = 2 family members are provided alongside, arranged
 so that the branch matches the numeric convention.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BracketingError, ConvergenceError, DomainError,
-                     FreeconvError, HypothesisError)
+                     HypothesisError)
 from .branches import _scalar
 from .family import FamilyParams, _worst, cauchy_G, voiculescu_phi
 from .stable_poisson import (StableParams, is_positive_supported,
                              is_symmetric, stable_G)
 
-
-def _brentq(f, a, b, xtol, maxiter=100):
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of SciPy's brentq.c with its rtol and maxiter
-    defaults, so for the same xtol it takes the same iterates and makes the
-    same evaluations as SciPy's optimize.brentq.  f(a) and f(b) of one sign,
-    or a NaN value of f, raise ValueError; no convergence within maxiter
-    raises ConvergenceError.
-    """
-    rtol = 4 * np.finfo(float).eps
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x:f} is NaN")
-        return fx
-
-    def neg(v):
-        return math.copysign(1.0, v) < 0.0
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if neg(fpre) == neg(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and neg(fpre) != neg(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # a product underflowed to 0; C divides to inf or nan here
-                # and so bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise ConvergenceError(f"brentq did not converge in {maxiter} "
-                           f"iterations; last iterate {xcur!r}")
+_EPS = np.finfo(float).eps
 
 
 def psi_from_G(G, z):
@@ -98,85 +27,133 @@ def psi_from_G(G, z):
     For real z the value is taken as a boundary limit from above: two
     samples at a small imaginary offset and one Richardson step (the error
     expansion in the offset has only even powers, so this is O(delta**4)).
+    Off the axis the offset is 0.  Takes arrays, with G acting
+    elementwise, and makes one G call; real z give real values.
     """
-    z = complex(z)
-    if z == 0:
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0):
         raise DomainError("psi is not defined at 0")
-    u = 1.0 / z
-    if z.imag == 0.0:
-        d = 1e-7 * (1.0 + abs(u))
-        v1 = ((1.0 / z) * complex(G(u + 1j * d)) - 1.0).real
-        v2 = ((1.0 / z) * complex(G(u + 0.5j * d)) - 1.0).real
-        return (4.0 * v2 - v1) / 3.0
-    if u.imag > 0:
-        return (1.0 / z) * complex(G(u)) - 1.0
+    u = 1.0 / z.ravel()
+    real = u.imag == 0.0
     # lower half-plane via the reflection G(conj w) = conj(G(w))
-    return (1.0 / z) * complex(np.conj(complex(G(np.conj(u))))) - 1.0
+    lower = u.imag < 0.0
+    w = np.where(lower, u.conj(), u)
+    d = np.where(real, 1e-7 * (1.0 + np.abs(u)), 0.0)
+    g = np.reshape(G(np.concatenate([w + 1j * d, w + 0.5j * d])), (2, -1))
+    v1, v2 = u * np.where(lower, g.conj(), g) - 1.0
+    psi = np.where(real, (4.0 * v2.real - v1.real) / 3.0, v1)
+    return _scalar((psi.real if real.all() else psi).reshape(z.shape))
 
 
 def psi_symmetric_from_G(G, t):
     """psi(i*t) for t > 0 and a symmetric measure: real, decreasing from 0
-    toward mu({0}) - 1 as t grows."""
-    if not t > 0.0:
+    toward mu({0}) - 1 as t grows.  Takes arrays, with G acting
+    elementwise."""
+    t = np.asarray(t, dtype=float)
+    if not (t > 0.0).all():
         raise DomainError("t must be positive")
-    val = (-1j / t) * np.conj(complex(G(1j / t))) - 1.0
-    return float(val.real)
+    u = 1j / t
+    return _scalar((u * G(u)).real - 1.0)
 
 
-def chi_numeric(psi, w, t_floor=-1e-12):
+def _psi_minus(psi, tau, w):
+    """psi(tau) - w, elementwise; a NaN is a ConvergenceError."""
+    f = psi(tau) - w
+    nan = np.isnan(f)
+    if nan.any():
+        raise ConvergenceError(f"psi is NaN at |chi| = {tau[nan][0]:g}")
+    return f
+
+
+def _bracket(psi, w):
+    """Brackets [a, b] of the roots of psi(tau) = w over tau > 0, for psi
+    decreasing in tau: psi(a) >= w > psi(b), elementwise.
+
+    a is the last rung of the ladder 2**-43 ~ 1e-13, ..., 2**79 where
+    psi >= w, and b the next one.  Taking the last keeps the bracket clear
+    of small tau, where G sits at huge arguments and psi is only good to
+    its own size.  A G call costs about as much on many points as on one,
+    so the rungs up to 2**15 go in one call and the rest in rounds of 16
+    (each round retries the previous one's top rung), for the entries not
+    yet bracketed only.
+    """
+    a, b, fa, fb = (np.empty(w.size) for _ in range(4))
+    todo, lo = np.arange(w.size), -43
+    for hi in (16, 32, 48, 64, 80):
+        x = 2.0 ** np.arange(lo, hi)
+        f = _psi_minus(psi, np.broadcast_to(x, (todo.size, x.size)),
+                       w[todo, None])
+        above = f >= 0.0
+        if not above.any(axis=1).all():
+            raise BracketingError("psi stays below w down to |chi| = 1e-13; "
+                                  "w too close to 0?")
+        hit = ~above[:, -1]
+        j = x.size - above[hit, ::-1].argmax(axis=1)  # the rung after
+        k = todo[hit]
+        a[k], fa[k], b[k], fb[k] = x[j - 1], f[hit, j - 1], x[j], f[hit, j]
+        todo, lo = todo[~hit], hi - 1
+        if not todo.size:
+            return a, b, fa, fb
+    raise BracketingError("psi never drops below w; w outside its range?")
+
+
+def _solve(psi, w, a, b, fa, fb, maxiter=100):
+    """Roots of psi(tau) = w in the brackets [a, b], elementwise, by the
+    Anderson-Bjorck regula falsi (BIT 13, 1973), its scaling factor kept at
+    1/2 or more as in the Illinois method: a smaller one throws the next
+    step to the far end, which never settles where psi saturates.
+
+    As in Brent's method, with delta = (1e-14 + 4 eps tau)/2, each step
+    lands at least delta inside the bracket and an entry settles when its
+    bracket is narrower than 2 delta.  Only unsettled entries are evaluated
+    and stepped, so an entry's iterates do not depend on its batch.  No
+    convergence within maxiter steps raises ConvergenceError.
+    """
+    out = np.empty_like(w)
+    idx = np.arange(w.size)
+    for _ in range(maxiter):
+        d = a - b
+        q = (5e-15 + 2.0 * _EPS * b) / np.abs(d)  # delta / width; tau > 0
+        # the false-position step from b, as a fraction of the way to a
+        c = b + np.minimum(np.maximum(fb / (fb - fa), q), 1.0 - q) * d
+        fc = _psi_minus(psi, c, w)
+        # a sign change keeps b as the far end; otherwise the far end's
+        # value is scaled by 1 - fc/fb, but by no less than 1/2
+        r = fc / fb
+        cross = r < 0.0
+        fa = np.where(cross, fb, fa * np.maximum(1.0 - r, 0.5))
+        a = np.where(cross, b, a)
+        b, fb = c, fc
+        done = (np.abs(b - a) < 1e-14 + 4.0 * _EPS * b) | (fb == 0.0)
+        if done.any() or not done.size:  # an empty w settles at once
+            # after a sign change fa is a true value; the end nearer the
+            # root is returned, as in Brent's method
+            near_a = cross & (np.abs(fa) < np.abs(fb))
+            out[idx[done]] = np.where(near_a, a, b)[done]
+            if done.all():
+                return out
+            keep = ~done
+            idx, w, a, b, fa, fb = (x[keep] for x in (idx, w, a, b, fa, fb))
+    raise ConvergenceError(f"chi did not converge in {maxiter} steps")
+
+
+def _chi_abs(psi, w):
+    """|chi(w)| for w in (-1, 0), elementwise, with psi a function of |chi|
+    that is decreasing on the curve chi lives on."""
+    w = np.asarray(w, dtype=float)
+    if not ((-1.0 < w) & (w < 0.0)).all():
+        raise DomainError("the argument of chi must lie in (-1, 0)")
+    flat = w.ravel()
+    return _solve(psi, flat, *_bracket(psi, flat)).reshape(w.shape)
+
+
+def chi_numeric(psi, w):
     """Inverse of psi on (-inf, 0) for a measure on [0, inf).
 
-    psi is increasing there, from -1 + mu({0}) up to 0; the bracket is
-    grown by doubling and the root polished by Brent's method (_brentq).
+    psi is increasing there, from -1 + mu({0}) up to 0.  Takes arrays;
+    psi must act elementwise.
     """
-    if not -1.0 < w < 0.0:
-        raise DomainError("w must lie in (-1, 0)")
-    lo = -1.0
-    for _ in range(80):
-        if psi(lo) < w:
-            break
-        lo *= 2.0
-    else:
-        raise BracketingError("psi never drops below w on the negative "
-                              "axis; w outside the range of psi?")
-    try:
-        return _brentq(lambda t: psi(t) - w, lo, t_floor, xtol=1e-14)
-    except ValueError as exc:  # psi(t_floor) is still below w
-        if isinstance(exc, FreeconvError):
-            raise
-        raise BracketingError(f"no sign change of psi - w up to t = "
-                              f"{t_floor:g}; w too close to 0?") from exc
-
-
-def _chi_symmetric_t(G, w):
-    """Solve psi(i*t) = w over t > 0 for a symmetric measure (psi is
-    decreasing in t); returns t, so chi(w) = i*t."""
-    if not -1.0 < w < 0.0:
-        raise DomainError("w must lie in (-1, 0)")
-    # psi(i*t) ~ -m2 t**2 near 0, so a modest t already sits above w; going
-    # much smaller puts G at astronomically large arguments where the
-    # kernel cancels catastrophically
-    lo = 1e-6
-    while psi_symmetric_from_G(G, lo) < w:
-        lo *= 0.1
-        if lo < 1e-13:
-            raise BracketingError("psi(i*t) stays below w arbitrarily "
-                                  "close to 0; w outside the range?")
-    hi = 1.0
-    for _ in range(80):
-        if psi_symmetric_from_G(G, hi) < w:
-            break
-        hi *= 2.0
-    else:
-        raise BracketingError("psi(i*t) never drops below w; w outside "
-                              "the range?")
-    try:
-        return _brentq(lambda t: psi_symmetric_from_G(G, t) - w, lo, hi,
-                       xtol=1e-14)
-    except ValueError as exc:  # the bracket holds, so psi(i*t) gave NaN
-        if isinstance(exc, FreeconvError):
-            raise
-        raise ConvergenceError(str(exc)) from exc
+    return _scalar(-_chi_abs(lambda tau: psi(-tau), w))
 
 
 def s_transform_numeric(G, z, kind="positive"):
@@ -184,17 +161,16 @@ def s_transform_numeric(G, z, kind="positive"):
 
     kind="positive": measure on [0, inf), chi found on the negative reals,
     S is real.  kind="symmetric": chi = i*t with t > 0, S lands on the
-    negative imaginary axis.
+    negative imaginary axis.  Takes arrays of z, with G acting
+    elementwise; a scalar z gives a complex.
     """
-    z = float(z)
-    if not -1.0 < z < 0.0:
-        raise DomainError("z must lie in (-1, 0)")
+    z = np.asarray(z, dtype=float)
     if kind == "positive":
         chi = chi_numeric(lambda t: psi_from_G(G, t), z)
-        return complex((1.0 + z) / z * chi)
+        return _scalar(np.asarray((1.0 + z) / z * chi, dtype=complex))
     if kind == "symmetric":
-        t = _chi_symmetric_t(G, z)
-        return (1.0 + z) / z * 1j * t
+        t = _chi_abs(lambda t: psi_symmetric_from_G(G, t), z)
+        return _scalar((1.0 + z) / z * 1j * t)
     raise DomainError("kind must be 'positive' or 'symmetric'")
 
 
@@ -309,14 +285,8 @@ def verify_boxtimes(alpha, s, zs, return_argmax=False):
     kind = _closed_form_kind(alpha, s)
     params = FamilyParams(alpha, s, 2.0)
     ap = StableParams(alpha, s / 4.0)
-
-    def G_mu(w):
-        return cauchy_G(params, w)
-
-    def G_a(w):
-        return stable_G(ap, w)
-
     zs = np.asarray(zs, dtype=float).ravel()
-    res = [abs(s_transform_numeric(G_mu, z, kind) - mp_s_transform(z)
-               * s_transform_numeric(G_a, z, kind)) for z in zs.tolist()]
-    return _worst(np.asarray(res), zs, return_argmax)
+    s_mu = s_transform_numeric(lambda w: cauchy_G(params, w), zs, kind)
+    s_a = s_transform_numeric(lambda w: stable_G(ap, w), zs, kind)
+    res = np.abs(s_mu - mp_s_transform(zs) * s_a)
+    return _worst(res, zs, return_argmax)

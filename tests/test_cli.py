@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,19 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: Unable to allocate 1.5 TiB for an array\n"
+
+
+def test_warning_is_one_stderr_line(capsys):
+    # the r = 2 arcsine member's Levy table clamps rounding-level negative
+    # density values, with a UserWarning
+    argv = ["levy", "--alpha", "2", "--s", "1", "--r", "2", "--xmin=-3",
+            "--xmax", "3", "--n", "400"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err.startswith("warning: clamped ") and err.count("\n") == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(capsys, *argv) == (0, out, "")
 
 
 def test_verify_inversion_suite(capsys):

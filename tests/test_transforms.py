@@ -165,103 +165,171 @@ def test_residual_report_round_trip():
     assert rep2.to_dict()["argmax_point"] is None
 
 
-def _counted(solver, f, *args, **kw):
-    """solver(f, *args, **kw) -> (root or exception type, f evaluations)."""
-    n = [0]
-
-    def g(x):
-        n[0] += 1
-        return f(x)
-
-    try:
-        out = solver(g, *args, **kw)
-    except (ValueError, RuntimeError) as exc:
-        out = ValueError if isinstance(exc, ValueError) else RuntimeError
-    return out, n[0]
-
-
-def test_brentq_matches_scipy(monkeypatch):
-    # the port takes scipy's iterates: the same float after the same number
-    # of evaluations, on the solves S-transform inversion really makes
+def _brentq_s(G, z, kind):
+    """S(z) by scipy's brentq(xtol=1e-14) on the same psi, bracketed as the
+    scalar solver before the batched one did."""
     from scipy.optimize import brentq
-    port = transforms._brentq
-    calls = []
+    if kind == "positive":
+        f = lambda t: psi_from_G(G, t) - z
+        lo = -1.0
+        while f(lo) >= 0.0:
+            lo *= 2.0
+        return (1.0 + z) / z * brentq(f, lo, -1e-12, xtol=1e-14) + 0j
+    f = lambda t: psi_symmetric_from_G(G, t) - z
+    hi = 1.0
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    return (1.0 + z) / z * 1j * brentq(f, 1e-6, hi, xtol=1e-14)
 
-    def both(f, a, b, **kw):
-        got = _counted(port, f, a, b, **kw)
-        calls.append((got, _counted(brentq, f, a, b, **kw)))
-        return got[0]
 
-    monkeypatch.setattr(transforms, "_brentq", both)
+def test_solver_matches_scipy_brentq():
+    # the accuracy grid: relative error against the closed form and
+    # relative difference from scipy's brentq on the same psi
+    zs = np.linspace(-0.95, -0.05, 19)
+    for alpha, sign, kind, closed_tol in ((1.0, -1.0, "positive", 1e-12),
+                                          (0.5, -1.0, "positive", 1e-9),
+                                          (2.0, 1.0, "symmetric", 1e-12)):
+        for c in np.geomspace(0.25, 4.0, 9):
+            params = FamilyParams(alpha, sign * c, 2.0)
+            G = lambda w: cauchy_G(params, w)
+            got = s_transform_numeric(G, zs, kind)
+            closed = np.array([s_mu2_closed(alpha, sign * c, z) for z in zs])
+            assert np.max(np.abs(got / closed - 1.0)) < closed_tol, (alpha, c)
+            ref = np.array([_brentq_s(G, z, kind) for z in zs.tolist()])
+            assert np.max(np.abs(got / ref - 1.0)) < 2e-12, (alpha, c)
+    # analytic psi on (-inf, 0), increasing from -1 to 0, with their
+    # inverses; arctan is flat far out, exp - 1 near -1, and -tanh(t**5)
+    # saturates so fast that the unfloored Anderson-Bjorck factor never
+    # settles at w = -0.999
+    from scipy.optimize import brentq
+    ws = np.array([-0.999, -0.9, -0.5, -0.1, -1e-3, -1e-9])
+    for psi, inverse in ((lambda t: t / (1.0 - t), lambda w: w / (1.0 + w)),
+                         (lambda t: np.expm1(t), np.log1p),
+                         (lambda t: np.arctan(t) / (np.pi / 2.0),
+                          lambda w: np.tan(np.pi / 2.0 * w)),
+                         (lambda t: -np.tanh((-t) ** 5),
+                          lambda w: -np.arctanh(-w) ** 0.2)):
+        got = chi_numeric(psi, ws)
+        ref = [brentq(lambda t: psi(t) - w, -1e9, -1e-15, xtol=1e-14)
+               for w in ws]
+        assert np.allclose(got, ref, rtol=1e-11, atol=1e-14)
+        assert np.allclose(got, inverse(ws), rtol=1e-12, atol=1e-14)
+
+
+def test_array_calls_equal_scalar_calls():
+    # entries bracketed in the first round of rungs and in later ones (at
+    # z = -0.999999 |chi| is near 1e6 to 1e12) share one call without
+    # changing any bit
+    zs = np.array([-0.999999, -0.9, -0.5, -0.3, -0.1, -1e-3, -1e-9])
+    cases = [(mp_cauchy, "positive"),
+             (lambda w: stable_G(StableParams(2.0, 1.0), w), "symmetric")]
+    for alpha, s, kind in ((1.0, -1.0, "positive"), (0.5, -2.0, "positive"),
+                           (2.0, 0.5, "symmetric"), (1.0, 1j, "symmetric")):
+        params = FamilyParams(alpha, s, 2.0)
+        cases.append((lambda w, p=params: cauchy_G(p, w), kind))
+    for G, kind in cases:
+        got = s_transform_numeric(G, zs[:-1], kind)
+        one = [s_transform_numeric(G, z, kind) for z in zs[:-1].tolist()]
+        assert all(isinstance(v, complex) for v in one)
+        assert np.array_equal(got, one)
+    psi = lambda t: psi_from_G(mp_cauchy, t)
+    assert np.array_equal(chi_numeric(psi, zs),
+                          [chi_numeric(psi, w) for w in zs.tolist()])
+    assert np.array_equal(chi_numeric(psi, zs.reshape(7, 1)),
+                          chi_numeric(psi, zs).reshape(7, 1))
+    assert chi_numeric(psi, []).shape == (0,)
+    assert s_transform_numeric(_bernoulli_G, np.empty((0, 2)),
+                               "symmetric").shape == (0, 2)
+    # psi at real, upper and lower half-plane points, and on i*(0, inf)
+    pts = np.array([-2.0, -0.5, 0.3 + 0.4j, -1.0 - 2.0j, 4.0])
+    assert np.array_equal(psi_from_G(mp_cauchy, pts[:2]),
+                          [psi_from_G(mp_cauchy, z) for z in pts[:2]])
+    assert np.array_equal(psi_from_G(mp_cauchy, pts),
+                          [complex(psi_from_G(mp_cauchy, z)) for z in pts])
+    G = lambda w: stable_G(StableParams(2.0, 1.0), w)
+    ts = np.array([1e-3, 0.5, 2.0, 1e3])
+    assert np.array_equal(psi_symmetric_from_G(G, ts),
+                          [psi_symmetric_from_G(G, t) for t in ts])
+    # verify_boxtimes is the per-z loop of scalar solves
     zs = np.linspace(-0.9, -0.1, 5)
-    for c in (0.5, 1.0, 2.0):
-        positive = FamilyParams(1.0, -c, 2.0)
-        symmetric = FamilyParams(2.0, c, 2.0)
-        for z in zs:
-            s_transform_numeric(lambda w: cauchy_G(positive, w), z)
-            s_transform_numeric(lambda w: cauchy_G(symmetric, w), z,
-                                kind="symmetric")
-    assert len(calls) == 2 * 3 * len(zs)
-    for got, ref in calls:
-        assert isinstance(got[0], float)
-        assert got == ref
-    # analytic functions, including one so small that the extrapolation's
-    # denominator underflows to 0 (C divides to inf and bisects),
-    # non-convergence within maxiter (scipy raises RuntimeError, the port
-    # its subclass ConvergenceError), a bad bracket and a NaN value
-    # (ValueError in both)
-    cases = [(lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, {}),
-             (lambda x: 1e-160 * (x ** 3 - 2.0 * x - 5.0), 0.0, 3.0, {}),
-             (lambda x: np.cos(x) - x, 0.0, 1.0, {"xtol": 1e-14}),
-             (lambda x: np.tanh(x - 0.3) + 0.1 * (x - 0.3) ** 3, -10.0,
-              10.0, {}),
-             (lambda x: np.exp(x) - 2.0, -5.0, 5.0, {"xtol": 1e-14}),
-             (lambda x: (x - 0.7) ** 5, -7.3, 9.1, {}),
-             (lambda x: np.arctan(1e3 * (x - 0.3)), -7.0, 9.0,
-              {"maxiter": 3}),
-             (lambda x: x * x + 1.0, -1.0, 1.0, {}),
-             (lambda x: np.nan if x > 0.5 else x - 0.75, 0.0, 1.0, {})]
-    for _, _, _, kw in cases:
-        kw.setdefault("xtol", 2e-12)  # scipy's default
-    for f, a, b, kw in cases:
-        assert _counted(port, f, a, b, **kw) == _counted(brentq, f, a, b,
-                                                         **kw)
+    for alpha, s, kind in ((2.0, 1.0, "symmetric"), (0.5, -1.0, "positive")):
+        params, ap = FamilyParams(alpha, s, 2.0), StableParams(alpha, s / 4)
+        loop = [abs(s_transform_numeric(lambda w: cauchy_G(params, w), z,
+                                        kind)
+                    - mp_s_transform(z)
+                    * s_transform_numeric(lambda w: stable_G(ap, w), z,
+                                          kind)) for z in zs.tolist()]
+        assert verify_boxtimes(alpha, s, zs) == max(loop)
 
 
-def test_brentq_failures():
-    with pytest.raises(ValueError):
-        transforms._brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-14)
-    with pytest.raises(ConvergenceError):
-        transforms._brentq(lambda x: np.arctan(1e3 * (x - 0.3)), -7.0, 9.0,
-                           xtol=1e-14, maxiter=3)
-    # psi(t_floor) is still below w: the bad bracket is a BracketingError
-    with pytest.raises(BracketingError):
-        chi_numeric(lambda t: psi_from_G(mp_cauchy, t), -1e-15)
+def _bernoulli_G(z):
+    """Cauchy transform of the symmetric Bernoulli law: psi(i*t) =
+    -t**2/(1 + t**2)."""
+    return z / (z * z - 1.0)
 
-    # symmetric Bernoulli law, psi(i*t) = -t**2/(1 + t**2), with G made NaN
-    # inside the bracket: the solve fails with a ConvergenceError
-    def G_nan(z):
-        return np.nan if 0.5 < abs(z) < 2.0 else z / (z * z - 1.0)
+
+def _point_mass_G(z):
+    """Cauchy transform of the point mass at 1: psi(t) = t/(1 - t)."""
+    return 1.0 / (z - 1.0)
+
+
+def test_s_transform_failures():
+    for G, kind in ((_point_mass_G, "positive"),
+                    (_bernoulli_G, "symmetric")):
+        for z in (0.5, -1.0, 0.0, [-0.5, -1.5], np.nan):
+            with pytest.raises(DomainError):
+                s_transform_numeric(G, z, kind)
+    with pytest.raises(DomainError):
+        chi_numeric(lambda t: t / (1.0 - t), [-0.5, -1.5])
+
+    # psi still below w at |chi| = 1e-13, on either curve: w too close to
+    # 0, or the Bernoulli law at +-1e15, whose chi(-1/2) is 1e-15 i
+    with pytest.raises(BracketingError, match="too close to 0"):
+        chi_numeric(lambda t: psi_from_G(_point_mass_G, t), -1e-15)
+    with pytest.raises(BracketingError, match="too close to 0"):
+        s_transform_numeric(lambda z: z / (z * z - 1e30), [-0.5, -0.3],
+                            "symmetric")
+    # an atom of mass 1/2 at 0: psi never drops below -1/2
+    with pytest.raises(BracketingError, match="never drops below w"):
+        chi_numeric(lambda t: 0.5 * t / (1.0 - t), [-0.4, -0.7])
+    with pytest.raises(BracketingError, match="never drops below w"):
+        s_transform_numeric(lambda z: 0.5 / z + 0.5 * _bernoulli_G(z),
+                            -0.7, "symmetric")
+
+    # G NaN on an annulus the solve reaches: a ConvergenceError naming the
+    # NaN in both kinds, not a bracketing failure
+    def nan_on(G, lo, hi):
+        return lambda z: np.where((lo < abs(z)) & (abs(z) < hi), np.nan,
+                                  G(z))
 
     with pytest.raises(ConvergenceError, match="NaN"):
-        s_transform_numeric(G_nan, -0.5, kind="symmetric")
+        s_transform_numeric(nan_on(_point_mass_G, 0.4, 0.9), -0.5)
+    with pytest.raises(ConvergenceError, match="NaN"):
+        s_transform_numeric(nan_on(_bernoulli_G, 0.5, 2.0), -0.5,
+                            kind="symmetric")
 
     # a DomainError raised inside the bracket, at a point the bracket
-    # search never visits, reaches the caller unchanged in both solves:
-    # the bracket is [1e-6, 2] here (t = 1 and 2 tried), the solve steps
-    # into 1 < t < 2, i.e. 1/2 < |z| < 1
-    def G_domain(z):
-        if 0.5 < abs(z) < 1.0:
-            raise DomainError("G undefined here")
-        return z / (z * z - 1.0)
+    # search never visits, reaches the caller unchanged.  For w = -0.6 the
+    # rungs are |chi| = 2**-43, ..., 2**15 and the bracket is [1, 2]; the
+    # roots are |chi| = 1.5 (psi(t) = t/(1-t)) and sqrt(1.5) (the
+    # Bernoulli law), and the first false-position steps land at 1.6 and
+    # 4/3.  The rungs put G at |z| near 2**43, ..., 1, 1/2, ..., where the
+    # steps put it inside 0.55 < |z| < 0.95.
+    def raise_on(G):
+        def G_domain(z):
+            if np.any((0.55 < abs(z)) & (abs(z) < 0.95)):
+                raise DomainError("G undefined here")
+            return G(z)
+        return G_domain
 
-    with pytest.raises(DomainError, match="G undefined here"):
-        s_transform_numeric(G_domain, -0.5, kind="symmetric")
+    for G, kind in ((_point_mass_G, "positive"),
+                    (_bernoulli_G, "symmetric")):
+        assert np.isfinite(s_transform_numeric(G, -0.6, kind))
+        with pytest.raises(DomainError, match="G undefined here"):
+            s_transform_numeric(raise_on(G), -0.6, kind)
 
-    # psi(t) = t/(1 - t): the bracket is [-2, -1e-12] (t = -1 and -2
-    # tried), the root is -1.5
     def psi_domain(t):
-        if -1.99 < t < -1.01:
+        if np.any((-1.99 < t) & (t < -1.01)):
             raise DomainError("psi undefined here")
         return t / (1.0 - t)
 
@@ -270,11 +338,15 @@ def test_brentq_failures():
 
 
 def test_s_transform_non_convergence_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(transforms, "_brentq",
-                        functools.partial(transforms._brentq, maxiter=1))
+    monkeypatch.setattr(transforms, "_solve",
+                        functools.partial(transforms._solve, maxiter=1))
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        chi_numeric(lambda t: t / (1.0 - t), -0.6)
+    # at z = -0.5 the root of the (1, -1, 2) member is the rung 8, and the
+    # first step already settles it
     for s in ("-1", "i"):
         code = main(["eval", "--transform", "S", "--alpha", "1", "--s", s,
-                     "--z=-0.5"])
+                     "--z=-0.3"])
         out = capsys.readouterr()
         assert code == 1, s
         assert out.out == ""
