@@ -261,6 +261,20 @@ def phi_masked(params, z):
     return f - z, ok
 
 
+def _descent(y_top, y_end):
+    """The dense geometric descent from y_top to y_end < y_top, 24 points
+    a decade and at least 48: np.geomspace bit for bit, without its
+    overhead, as 10**(an arithmetic progression in log10 y) with both
+    ends set exactly.  Differences of logs, not the ratio, which
+    overflows for subnormal y_end."""
+    log_top, log_end = np.log10(y_top), np.log10(y_end)
+    n = max(48, int(24.0 * (log_top - log_end)) + 1)
+    ys = 10.0 ** (np.arange(n, dtype=float) * ((log_end - log_top) / (n - 1))
+                  + log_top)
+    ys[0], ys[-1] = y_top, y_end
+    return ys
+
+
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     """phi on the grid xs[j] + 1j*ys_desc[i] by analytic continuation of
     the inverse map down each vertical line.
@@ -289,13 +303,10 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
                 abs(sp) ** (1.0 / alpha)) * max(1.0, r, rp)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
-    # difference of logs: the ratio overflows for subnormal ys
-    n_dense = max(48, int(24.0 * (np.log10(y_top)
-                                  - np.log10(ys_desc[-1]))) + 1)
     # sorted and deduplicated as np.unique would, without its np.ma check,
     # which imports numpy.ma (about 15 ms) on the first scan of a process
-    path = np.sort(np.concatenate(
-        [np.geomspace(y_top, float(ys_desc[-1]), n_dense), ys_desc]))
+    path = np.sort(np.concatenate([_descent(y_top, float(ys_desc[-1])),
+                                   ys_desc]))
     path = path[np.append(True, path[1:] != path[:-1])][::-1]
     idx = np.searchsorted(-path, -ys_desc)
     phi = np.empty((ys_desc.size, xs.size), dtype=complex)

@@ -109,11 +109,13 @@ def mp_cauchy(z):
     """Cauchy transform of the mean-one free Poisson law.
 
     G(z) = (1 - sqrt(1 - 4/z))/2 with the principal root; for z in C_+ the
-    argument 1 - 4/z stays in C_+ so the root is cut-free.
+    argument 1 - 4/z stays in C_+ so the root is cut-free.  It is taken as
+    2 / (z (1 + sqrt(1 - 4/z))), which does not cancel at large |z|: the
+    principal root has real part >= 0, so 1 + sqrt never vanishes.
     """
-    w = 1.0 - 4.0 / _upper(z)
-    out = (1.0 - np.exp(0.5 * _log_principal_raw(w))) / 2.0
-    return _scalar(out)
+    z = _upper(z)
+    root = np.exp(0.5 * _log_principal_raw(1.0 - 4.0 / z))
+    return _scalar(2.0 / (z * (1.0 + root)))
 
 
 def mp_density(x):

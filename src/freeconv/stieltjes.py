@@ -7,6 +7,7 @@ their own evaluator via lim iy*G(x+iy).  The module also carries the
 closed-form densities used as oracles elsewhere.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ def _ladder(y0, levels, xs):
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
     if y0 is None:
-        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
+        y0 = 1e-2 * max(1.0, float(np.abs(xs).max()))
     return y0 * 0.5 ** np.arange(levels + 1)
 
 
@@ -39,24 +40,42 @@ def _richardson(vals, police=False):
     point raises ConvergenceError: the signature of a pole (an atom) under
     the evaluation point.  Policing needs 4 samples (levels >= 3).
     """
-    vals = np.asarray(vals, dtype=complex)
-    if police and len(vals) < 4:
+    # Neville's recurrence a tableau column at a time, over every rung at
+    # once: column j holds T[k][j] for k >= j, and diag[j] = T[j][j]
+    diag = np.array(vals, dtype=complex)
+    n = len(diag)
+    if police and n < 4:
         raise DomainError(f"a ladder checked for divergence needs levels "
-                          f">= 3, got {len(vals) - 1}")
-    prev = [vals[0]]
-    diag = [vals[0]]
-    for k in range(1, len(vals)):
-        cur = [vals[k]]
-        for j in range(1, k + 1):
+                          f">= 3, got {n - 1}")
+    if diag.ndim == 1:
+        # a column of numpy scalars: their arithmetic, the same operations
+        # as the ufuncs', costs a fraction of a ufunc call on a tiny array
+        col = list(diag)
+        for j in range(1, n):
             fac = 2.0 ** j
-            cur.append((fac * cur[j - 1] - prev[j - 1]) / (fac - 1.0))
-        diag.append(cur[k])
-        prev = cur
-    incs = np.abs(np.diff(np.asarray(diag), axis=0))
+            col = [(fac * b - a) / (fac - 1.0) for a, b in zip(col, col[1:])]
+            diag[j] = col[0]
+    else:
+        # in place: column j overwrites rows k >= j, so row k is left
+        # holding T[k][k]; out is passed by position, since the keyword
+        # costs more than the arithmetic on a short ladder
+        tmp = np.empty_like(diag[1:])
+        for j in range(1, n):
+            fac = 2.0 ** j
+            t = tmp[j - 1:]
+            np.multiply(fac, diag[j:], t)
+            np.subtract(t, diag[j - 1:-1], t)
+            np.divide(t, fac - 1.0, diag[j:])
+    # only the last three diagonal increments are ever read
+    last = diag[-4:]
+    incs = np.abs(last[1:] - last[:-1])
     if police:
-        scale = np.maximum(1.0, np.max(np.abs(vals), axis=0))
-        if np.any((incs[-1] > 1e-11 * scale) & (incs[-1] >= incs[-2])
-                  & (incs[-2] >= incs[-3])):
+        # the size test is needed only where the increments grow, and
+        # with its scale >= 1 only where they exceed 1e-11
+        grow = ((incs[-1] > 1e-11) & (incs[-1] >= incs[-2])
+                & (incs[-2] >= incs[-3]))
+        if grow.any() and (grow & (incs[-1] > 1e-11 * np.maximum(
+                1.0, np.abs(vals).max(axis=0)))).any():
             raise ConvergenceError("boundary extrapolation is diverging "
                                    "(atom or pole under the evaluation "
                                    "point?)")
@@ -84,8 +103,8 @@ def density_from_G(G, x, y0=None, levels=8):
 def atom_mass(G, x, y0=None, levels=8):
     """mu({x}) = lim iy*G(x+iy); the imaginary part must vanish."""
     x = float(x)
-    ys = _ladder(y0, levels, x)
-    val, _err = _richardson(1j * ys * G(x + 1j * ys), police=True)
+    iy = 1j * _ladder(y0, levels, x)
+    val, _err = _richardson(iy * G(x + iy), police=True)
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise ConvergenceError("imaginary part of iy*G(x+iy) did not vanish")
     return float(val.real)
@@ -165,6 +184,46 @@ _DE_H0 = 0.5
 _DE_LEVELS = 8
 
 
+@functools.cache
+def _de_rule(finite):
+    """Node data of the tanh-sinh (finite) or exp-sinh rule, one (a, b)
+    pair of arrays per level, built once per process and read-only, since
+    every caller shares it.
+
+    Level 0 holds the trapezoid nodes t of step _DE_H0 on _DE_T[finite];
+    level l > 0 holds the nodes halfway between those of the levels
+    before it.  With s = (pi/2) sinh t, a finite rule has a = u/L and
+    b = w/(L k u**(k-1)) of a piece of length L (see _de_piece), and the
+    exp-sinh rule has a = u = exp(s) and b = w.
+    """
+    lo, hi = _DE_T[finite]
+    h = _DE_H0
+    t0 = np.ceil(lo / h) * h
+    n = int(np.floor(hi / h) - np.ceil(lo / h))
+    ts = [t0 + h * np.arange(n + 1)]
+    for _ in range(_DE_LEVELS):
+        # the new nodes sit halfway between the old ones
+        h *= 0.5
+        ts.append(t0 + h * (2.0 * np.arange(n) + 1.0))
+        n *= 2
+    rule = []
+    for t in ts:
+        s = 0.5 * np.pi * np.sinh(t)
+        ds = 0.5 * np.pi * np.cosh(t)
+        if finite:
+            # u near 0 is formed directly, not as a difference from L
+            e = np.exp(-2.0 * np.abs(s))
+            a = np.where(s < 0.0, e, 1.0) / (1.0 + e)
+            b = ds * 2.0 * e / (1.0 + e) ** 2
+        else:
+            a = np.exp(s)
+            b = ds * a
+        a.flags.writeable = False
+        b.flags.writeable = False
+        rule.append((a, b))
+    return tuple(rule)
+
+
 def _de_piece(f, mid, end, exp, tol):
     """(value, error) of the integral of f between mid and end (end may
     be +-inf), by double-exponential quadrature (Takahasi & Mori 1974):
@@ -181,37 +240,29 @@ def _de_piece(f, mid, end, exp, tol):
     finite = not np.isinf(end)
     k = 2.0 / (1.0 + exp) if finite and exp < 0.0 else 1.0
     length = abs(end - mid) ** (1.0 / k) if finite else 1.0
+    rule = _de_rule(finite)
 
-    def terms(t):
-        s = 0.5 * np.pi * np.sinh(t)
-        ds = 0.5 * np.pi * np.cosh(t)
+    def terms(level):
+        a, b = rule[level]
         if finite:
-            # u near 0 is formed directly, not as a difference from L
-            e = np.exp(-2.0 * np.abs(s))
-            u = length * np.where(s < 0.0, e, 1.0) / (1.0 + e)
-            w = length * ds * 2.0 * e / (1.0 + e) ** 2 * k * u ** (k - 1.0)
+            u = length * a
+            w = length * b * k * u ** (k - 1.0)
             x = end - sign * u ** k
         else:
-            u = np.exp(s)
-            w = ds * u
-            x = mid + sign * u
+            w = b
+            x = mid + sign * a
         keep = (x != end) & (x != mid) & (w > 0.0)
-        out = np.zeros(t.shape)
+        out = np.zeros(x.shape)
         out[keep] = w[keep] * np.asarray(f(x[keep]), dtype=float)
         return out
 
-    lo, hi = _DE_T[finite]
     h = _DE_H0
-    t0 = np.ceil(lo / h) * h
-    n = int(np.floor(hi / h) - np.ceil(lo / h))
-    vals = terms(t0 + h * np.arange(n + 1))
+    vals = terms(0)
     total = h * float(np.sum(vals))
     edge = abs(vals[0]) + abs(vals[-1])
-    for _ in range(_DE_LEVELS):
-        # the new nodes sit halfway between the old ones
+    for level in range(1, _DE_LEVELS + 1):
         h *= 0.5
-        new = terms(t0 + h * (2.0 * np.arange(n) + 1.0))
-        n *= 2
+        new = terms(level)
         prev, total = total, 0.5 * total + h * float(np.sum(new))
         err = abs(total - prev) + edge
         if err <= 0.25 * tol * max(1.0, abs(total)):

@@ -25,8 +25,10 @@ def psi_from_G(G, z):
     """psi(z) = (1/z) G(1/z) - 1, the moment generating series.
 
     For real z the value is taken as a boundary limit from above: two
-    samples at a small imaginary offset and one Richardson step (the error
-    expansion in the offset has only even powers, so this is O(delta**4)).
+    samples at the imaginary offsets delta and delta/2 of 1/z, with
+    delta = 1e-7 |1/z| relative so that it stays small against 1/z at
+    every scale, and one Richardson step (the error expansion in the
+    offset has only even powers, so this is O(delta**4)).
     Off the axis the offset is 0.  Takes arrays, with G acting
     elementwise, and makes one G call; real z give real values.
     """
@@ -38,7 +40,7 @@ def psi_from_G(G, z):
     # lower half-plane via the reflection G(conj w) = conj(G(w))
     lower = u.imag < 0.0
     w = np.where(lower, u.conj(), u)
-    d = np.where(real, 1e-7 * (1.0 + np.abs(u)), 0.0)
+    d = np.where(real, 1e-7 * np.abs(u), 0.0)
     g = np.reshape(G(np.concatenate([w + 1j * d, w + 0.5j * d])), (2, -1))
     v1, v2 = u * np.where(lower, g.conj(), g) - 1.0
     psi = np.where(real, (4.0 * v2.real - v1.real) / 3.0, v1)

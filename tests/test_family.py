@@ -7,7 +7,7 @@ from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       is_admissible, reciprocal_F, series_coefficients,
                       series_G, verification_cone, verify_composition,
                       verify_self_similarity, voiculescu_phi)
-from freeconv.family import phi_boundary, phi_masked
+from freeconv.family import _descent, phi_boundary, phi_masked
 from freeconv.stable_poisson import StableParams, stable_G
 
 
@@ -223,6 +223,20 @@ def test_phi_boundary_near_axis_alpha2():
         zs = x + 1j * ys
         want = zs ** 2 * stable_G(a, zs) - zs
         np.testing.assert_allclose(tracked, want, atol=1e-12)
+
+
+def test_descent_is_geomspace():
+    # the tracked continuation's dense path, with the point count the
+    # descent picks; subnormal ends, whose ratio to y_top overflows, too
+    rng = np.random.default_rng(5)
+    tops = 10.0 ** rng.uniform(-2.0, 6.0, 200)
+    ends = np.concatenate([10.0 ** rng.uniform(-300.0, -1.0, 196),
+                           [1e-310, 5e-324, 2.2e-308, 1e-300]])
+    for top, end in zip(tops, ends):
+        got = _descent(float(top), float(end))
+        assert np.array_equal(got, np.geomspace(top, end, got.size))
+        decades = np.log10(top) - np.log10(end)
+        assert got.size == max(48, int(24.0 * decades) + 1)
 
 
 def test_phi_boundary_rejects_bad_ladder():

@@ -104,3 +104,70 @@ def test_f_is_called_on_arrays_once_per_level():
                and x.dtype == float for x in calls)
     # two pieces, each at most one call per level
     assert len(calls) <= 2 * (stieltjes._DE_LEVELS + 1)
+
+
+def test_de_rule_is_built_once_and_read_only():
+    for finite in (True, False):
+        rule = stieltjes._de_rule(finite)
+        assert stieltjes._de_rule(finite) is rule
+        assert len(rule) == stieltjes._DE_LEVELS + 1
+        for level in rule:
+            for arr in level:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+
+def _fresh_nodes(mid, end):
+    """Per level, the nodes x of the piece from mid to end (exponent 0)
+    built from the t-nodes on every call, as _de_piece did before its rule
+    was cached."""
+    sign = 1.0 if end > mid else -1.0
+    finite = not np.isinf(end)
+    length = abs(end - mid) if finite else 1.0
+    lo, hi = stieltjes._DE_T[finite]
+    h = stieltjes._DE_H0
+    t0 = np.ceil(lo / h) * h
+    n = int(np.floor(hi / h) - np.ceil(lo / h))
+    ts = [t0 + h * np.arange(n + 1)]
+    for _ in range(stieltjes._DE_LEVELS):
+        h *= 0.5
+        ts.append(t0 + h * (2.0 * np.arange(n) + 1.0))
+        n *= 2
+    out = []
+    for t in ts:
+        s = 0.5 * np.pi * np.sinh(t)
+        ds = 0.5 * np.pi * np.cosh(t)
+        if finite:
+            e = np.exp(-2.0 * np.abs(s))
+            u = length * np.where(s < 0.0, e, 1.0) / (1.0 + e)
+            w = length * ds * 2.0 * e / (1.0 + e) ** 2
+            x = end - sign * u
+        else:
+            u = np.exp(s)
+            w = ds * u
+            x = mid + sign * u
+        out.append(x[(x != end) & (x != mid) & (w > 0.0)])
+    return out
+
+
+@pytest.mark.parametrize("a, b, mid", [(0.0, 1.0, 0.5), (1.0, 3.0, 2.0),
+                                       (0.0, np.inf, 1.0),
+                                       (-np.inf, np.inf, 0.0)])
+def test_de_nodes_match_a_fresh_construction(a, b, mid):
+    # an integrand of noise never settles, so f sees the nodes of all
+    # levels of both pieces, one call each, before the QuadratureError
+    calls = []
+    rng = np.random.default_rng(3)
+
+    def f(x):
+        calls.append(x)
+        return rng.random(x.shape)
+    with pytest.raises(QuadratureError):
+        quadrature(f, a, b)
+    want = _fresh_nodes(mid, a) + _fresh_nodes(mid, b)
+    assert len(calls) == len(want) == 2 * (stieltjes._DE_LEVELS + 1)
+    for got, fresh in zip(calls, want):
+        # the ends here keep |x| >= the distance u to the end, so x
+        # inherits the relative error of u
+        np.testing.assert_array_max_ulp(got, fresh, maxulp=2)

@@ -45,6 +45,33 @@ def test_psi_chi_round_trip():
         assert psi(t) == pytest.approx(w, abs=1e-12)
 
 
+def test_psi_offset_is_relative():
+    # S near z = -1 evaluates G near 0, where 1/z is large: an offset of
+    # psi_from_G that is not small against |1/z| there reads a smoothed G
+    p = FamilyParams(1.0, -1.0, 2.0)
+    G = lambda w: cauchy_G(p, w)
+    for z, rel in ((-0.999, 1e-12), (-0.9999, 1e-11)):
+        want = s_mu2_closed(1.0, -1.0, z)
+        assert abs(s_transform_numeric(G, z) - want) <= rel * abs(want)
+    # an atom of mass 1/2 at 0: psi never drops below -1/2 on the whole
+    # ladder, out to |chi| = 2**79
+    with pytest.raises(BracketingError, match="never drops below w"):
+        s_transform_numeric(lambda z: 0.5 / z + 0.5 / (z - 1.0), -0.7)
+
+
+def test_free_poisson_psi_near_zero():
+    # psi(t) = t + 2 t**2 + ..., and psi = z G(z) - 1 at z = 1/t keeps its
+    # absolute accuracy of a few eps as long as G does not cancel at large
+    # |z|
+    psi = lambda t: psi_from_G(mp_cauchy, t)
+    for k in range(6, 12):
+        t = -10.0 ** -k
+        assert abs(psi(t) - (t + 2.0 * t * t)) <= 1e-15
+    assert chi_numeric(psi, -1e-9) == pytest.approx(-1e-9, rel=1e-6)
+    with pytest.raises(BracketingError, match="too close to 0"):
+        chi_numeric(psi, -1e-15)
+
+
 def test_psi_symmetric_decreasing():
     p = StableParams(2.0, 1.0)
     G = lambda z: stable_G(p, z)
