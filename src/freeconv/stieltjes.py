@@ -27,7 +27,7 @@ def _ladder(y0, levels, xs):
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
     if y0 is None:
-        y0 = 1e-2 * max(1.0, float(np.abs(xs).max()))
+        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
     return y0 * 0.5 ** np.arange(levels + 1)
 
 
@@ -70,12 +70,12 @@ def _richardson(vals, police=False):
     last = diag[-4:]
     incs = np.abs(last[1:] - last[:-1])
     if police:
-        # the size test is needed only where the increments grow, and
-        # with its scale >= 1 only where they exceed 1e-11
+        # the scale (>= 1) is taken only where an increment above 1e-11
+        # keeps growing, which a converged ladder seldom has
         grow = ((incs[-1] > 1e-11) & (incs[-1] >= incs[-2])
                 & (incs[-2] >= incs[-3]))
-        if grow.any() and (grow & (incs[-1] > 1e-11 * np.maximum(
-                1.0, np.abs(vals).max(axis=0)))).any():
+        if grow.any() and np.any(grow & (incs[-1] > 1e-11 * np.maximum(
+                1.0, np.max(np.abs(vals), axis=0)))):
             raise ConvergenceError("boundary extrapolation is diverging "
                                    "(atom or pole under the evaluation "
                                    "point?)")
@@ -103,8 +103,8 @@ def density_from_G(G, x, y0=None, levels=8):
 def atom_mass(G, x, y0=None, levels=8):
     """mu({x}) = lim iy*G(x+iy); the imaginary part must vanish."""
     x = float(x)
-    iy = 1j * _ladder(y0, levels, x)
-    val, _err = _richardson(iy * G(x + iy), police=True)
+    ys = _ladder(y0, levels, x)
+    val, _err = _richardson(1j * ys * G(x + 1j * ys), police=True)
     if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
         raise ConvergenceError("imaginary part of iy*G(x+iy) did not vanish")
     return float(val.real)
