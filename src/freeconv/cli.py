@@ -61,6 +61,22 @@ def _config_error(msg):
     raise _ConfigError(msg)
 
 
+def _finite(low=-np.inf, closed=True):
+    """argparse type: a finite float, >= low (closed) or > low."""
+    bound = "" if low == -np.inf else f" {'>=' if closed else '>'} {low:g}"
+
+    def parse(text):
+        try:
+            val = float(text)
+        except ValueError:
+            val = np.nan
+        if not (np.isfinite(val) and (val >= low if closed else val > low)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number{bound}, got {text!r}")
+        return val
+    return parse
+
+
 def _int_between(lo, hi):
     """argparse type: an integer in [lo, hi]."""
     def parse(text):
@@ -77,9 +93,10 @@ def _int_between(lo, hi):
 
 # size caps, so that no argument asks for more memory than a workstation
 # has: a density table takes about 0.1 kB per point and ladder rung (1 GB at
-# the cap with the default 8 levels), a Levy table about 17 kB per point
-# (0.2 GB at the cap), a fid scan about 80 B per grid point (0.4 GB at the
-# caps); rungs below y0 * 2**-60 add nothing at double precision
+# the cap with the default 8 levels), a Levy table's continuation runs in
+# blocks of 2**15 path points (about 40 MB peak RSS at the cap), a fid
+# scan about 80 B per grid point (0.4 GB at the caps); rungs below
+# y0 * 2**-60 add nothing at double precision
 _MAX_DENSITY_N, _MAX_LEVY_N = 1_000_000, 10_000
 _MAX_NX, _MAX_NY = 3200, 1600
 _MAX_LEVELS = 60
@@ -185,10 +202,8 @@ def cmd_density(args):
             vals = closed_symmetric_beta_density(complex(s).real, xs)
         elif measure == "cauchy-mix":
             vals = example_density_cauchy_mix(xs)
-        elif measure == "half-stable":
+        else:  # half-stable
             vals = example_density_halfstable(xs)
-        else:
-            return _config_error(f"unknown measure {measure!r}")
         table = DensityTable(xs=xs, values=np.asarray(vals, dtype=float),
                              errs=np.zeros_like(xs),
                              y_ladder=np.empty(0))
@@ -219,8 +234,6 @@ def cmd_levy(args):
 
 def cmd_fid(args):
     params = _family(args)
-    if args.format != "json":
-        return _config_error("fid reports are JSON only")
     given = [args.xmin, args.xmax, args.ymin, args.ymax]
     rect = None
     if any(v is not None for v in given):
@@ -347,13 +360,8 @@ def cmd_eval(args):
         return 0
     params = _family(args)
     fn = {"G": cauchy_G, "F": reciprocal_F, "Finv": inverse_F,
-          "phi": voiculescu_phi}.get(t)
-    if fn is not None:
-        val = complex(fn(params, args.z))
-    elif t == "R":
-        val = complex(r_transform(params, args.z))
-    else:
-        return _config_error(f"unknown transform {t!r}")
+          "phi": voiculescu_phi, "R": r_transform}[t]
+    val = complex(fn(params, args.z))
     print(f"{_fmt(val.real)} {_fmt(val.imag)}")
     return 0
 
@@ -370,10 +378,10 @@ def _add_param_opts(p, with_r=True):
 
 
 def _add_table_opts(p, max_n):
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--xmin", type=_finite(), required=True)
+    p.add_argument("--xmax", type=_finite(), required=True)
     p.add_argument("--n", type=_int_between(1, max_n), default=101)
-    p.add_argument("--y0", type=float, default=None,
+    p.add_argument("--y0", type=_finite(0.0, closed=False), default=None,
                    help="top of the extrapolation ladder")
     p.add_argument("--format", default="csv",
                    choices=["csv", "json", "plotdata"])
@@ -408,13 +416,11 @@ def build_parser():
 
     p = sub.add_parser("fid", help="scan Im phi for divisibility violations")
     _add_param_opts(p)
-    p.add_argument("--xmin", type=float, default=None)
-    p.add_argument("--xmax", type=float, default=None)
-    p.add_argument("--ymin", type=float, default=None)
-    p.add_argument("--ymax", type=float, default=None)
+    for name in ("--xmin", "--xmax", "--ymin", "--ymax"):
+        p.add_argument(name, type=_finite(), default=None)
     p.add_argument("--nx", type=_int_between(2, _MAX_NX), default=400)
     p.add_argument("--ny", type=_int_between(2, _MAX_NY), default=200)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite(0.0), default=1e-9)
     p.add_argument("--format", default="json", choices=["json"])
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fid)
@@ -422,7 +428,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run identity residual suites")
     p.add_argument("--suite", default="all",
                    choices=["all"] + sorted(_SUITES))
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_finite(0.0), default=None,
                    help="override the per-suite default tolerance")
     p.add_argument("--format", default="json", choices=["json"])
     p.add_argument("--out", default="-")

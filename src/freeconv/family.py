@@ -53,11 +53,12 @@ def is_admissible(alpha, s):
     With theta = arg s required in [0, pi]:
       0 < alpha <= 1  needs  (1-alpha)*pi <= theta <= pi,
       1 < alpha <= 2  needs  0 <= theta <= (2-alpha)*pi.
-    Angles are compared with a 1e-12 tolerance.
+    Angles are compared with a 1e-12 tolerance.  A negative-zero
+    imaginary part counts as +0, so s = -1-0j has theta = pi.
     """
     if not (0.0 < alpha <= 2.0):
         return False
-    s = complex(s)
+    s = _fold_zero(complex(s))
     if s == 0:
         return False
     theta = np.angle(s)
@@ -69,15 +70,24 @@ def is_admissible(alpha, s):
     return theta <= (2.0 - alpha) * np.pi + ANGLE_TOL
 
 
-def _require_admissible(alpha, s):
+def _fold_zero(s):
+    """A complex s with its negative zeros made +0: arg(-1-0j) is -pi."""
+    return s + 0j if isinstance(s, complex) else s
+
+
+def _admissible_s(alpha, s):
+    """s, folded; AdmissibilityError outside the admissible sector."""
+    s = _fold_zero(s)
     if not is_admissible(alpha, s):
         raise AdmissibilityError(
             f"(alpha={alpha}, s={s}) is outside the admissible sector")
+    return s
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """The triple (alpha, s, r).  theta = arg s, normalized into [0, 2*pi)."""
+    """The triple (alpha, s, r).  theta = arg s, normalized into [0, 2*pi);
+    a negative-zero imaginary part of s is stored as +0."""
 
     alpha: float
     s: complex
@@ -85,7 +95,7 @@ class FamilyParams:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        _require_admissible(self.alpha, self.s)
+        object.__setattr__(self, "s", _admissible_s(self.alpha, self.s))
         if not self.r > 0:
             raise DomainError("r must be positive")
         th = float(np.angle(complex(self.s)))
@@ -248,17 +258,6 @@ def voiculescu_phi(params, z):
     """phi(z) = inverse_F(z) - z; additive under free convolution."""
     z = _upper(z)
     return _scalar(np.asarray(inverse_F(params, z)) - z)
-
-
-def phi_masked(params, z):
-    """(phi values, ok mask) without raising; single-valued composition.
-
-    Valid on truncated cones.  Near the real axis prefer phi_boundary /
-    _phi_tracked_block, which continue the cone values analytically.
-    """
-    z = np.asarray(z, dtype=complex)
-    f, ok = _F_masked(params.alpha, params.s / params.r, 1.0 / params.r, z)
-    return f - z, ok
 
 
 def _descent(y_top, y_end):

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import _branch_log, _scalar, _unmasked
-from .errors import ConvergenceError, DomainError, FreeconvError
+from .errors import DomainError, FreeconvError
 from .family import (_F_masked, _phi_tracked_block, _stage1, _upper,
                      _worst, phi_boundary)
 # perfbench records the pool size it ran with as fid._thread_count()
 from .family import _thread_count  # noqa: F401
-from .stieltjes import DensityTable, _ladder, _richardson
+from .stieltjes import (DensityTable, _atom_limit, _grid, _inversion,
+                        _ladder, _richardson)
 
 _GAUSS_N = 200
 
@@ -114,8 +115,11 @@ def check_fid_grid(params, rect=None, nx=400, ny=200, tol=1e-9):
     if rect is None:
         rect = default_fid_rect(params)
     xmin, xmax, ymin, ymax = rect
-    if not (xmin < xmax and 0.0 < ymin < ymax):
-        raise DomainError("need xmin < xmax and 0 < ymin < ymax")
+    if not (np.all(np.isfinite(rect)) and xmin < xmax and 0.0 < ymin < ymax):
+        raise DomainError("need a finite rect with xmin < xmax and "
+                          "0 < ymin < ymax")
+    if not 0.0 <= tol < np.inf:
+        raise DomainError("tol must be finite and >= 0")
     if nx < 2 or ny < 2:
         raise DomainError("the scan grid needs nx >= 2 and ny >= 2")
     xs = np.linspace(xmin, xmax, nx)
@@ -217,49 +221,24 @@ def find_E_zero(alpha, s, r, residual_tol=1e-10):
     return None
 
 
-def r0_threshold(alpha, s, n=4001):
+def r0_threshold(alpha, s):
     """Smallest r beyond which e_function acquires upper half-plane zeros,
-    for alpha > 1: 2*pi divided by the widest arc of the unit circle
-    (walked outward from 1) inside the sector swept by
-    1 - (s/r)(-1/z)**alpha.
+    for alpha > 1: 2*pi over the wider arc of the unit circle, from 1 out,
+    inside the sector theta - pi < arg(w - 1) < theta - pi + alpha*pi
+    swept by 1 - (s/r)(-1/z)**alpha, theta = arg s.
 
-    The arc endpoints are pinned by bisection on the membership predicate.
+    arg(e^{it} - 1) is pi/2 + t/2 on (0, pi] and t/2 - pi/2 on [-pi, 0),
+    so the arcs end at t = 2 theta + (2 alpha - 3) pi and at
+    t = 2 theta - pi (an arc of length <= 0 is absent).
     """
     if not alpha > 1.0:
         raise DomainError("threshold is stated for alpha > 1")
     theta = float(np.angle(complex(s)))
-    if theta < -1e-12:
+    if not -1e-12 <= theta <= (2.0 - alpha) * np.pi + 1e-12:
         raise DomainError("need arg s in [0, (2 - alpha) pi]")
-    a1 = theta - np.pi  # sector is a1 < arg(w - 1) < a1 + alpha*pi
-    width = alpha * np.pi
-
-    def members(ts):
-        beta = np.angle(np.exp(1j * ts) - 1.0)
-        rel = np.mod(beta - a1, 2.0 * np.pi)
-        return (rel > 1e-14) & (rel < width - 1e-14)
-
-    best = 0.0
-    for sign in (1.0, -1.0):
-        ts = sign * np.linspace(1e-9, np.pi, n)
-        m = members(ts)
-        if not m[0]:
-            continue
-        if m.all():
-            extent = np.pi
-        else:
-            stop = int(np.argmin(m))  # first non-member along the walk
-            lo, hi = ts[stop - 1], ts[stop]
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if members(np.asarray([mid]))[0]:
-                    lo = mid
-                else:
-                    hi = mid
-            extent = abs(0.5 * (lo + hi))
-        best = max(best, extent)
-    if best == 0.0:
-        raise ConvergenceError("no admissible arc found")
-    return float(2.0 * np.pi / best)
+    extent = max(2.0 * theta + (2.0 * alpha - 3.0) * np.pi,
+                 np.pi - 2.0 * theta)
+    return float(2.0 * np.pi / extent)
 
 
 def phi_cubic(s0, z):
@@ -312,14 +291,6 @@ def levy_beta_closed(r, x):
     return _scalar(out)
 
 
-def _tau_density(params, xs, ladder, police=False):
-    """(f, err): the limit of -(1/pi) Im phi(x+iy) down the ladder at the
-    points xs, the density of (1 + x**2) tau(dx)."""
-    phi = phi_boundary(params, np.asarray(xs), ladder)
-    f, err = _richardson(-phi.imag / np.pi, police)
-    return f.real, err
-
-
 def levy_density_numeric(params, x, y0=None, levels=8):
     """Levy density at x != 0 from boundary values of phi: the length-1
     form of levy_table, which also refuses divergent ladders.
@@ -330,17 +301,20 @@ def levy_density_numeric(params, x, y0=None, levels=8):
     x = float(x)
     if x == 0.0:
         raise DomainError("x = 0 is excluded")
-    f, _err = _tau_density(params, [x], _ladder(y0, levels, x), police=True)
+    xs = np.asarray([x])
+    f, _err, _ = _inversion(lambda ys: phi_boundary(params, xs, ys), xs, y0,
+                            levels, police=True)
     return float(f[0]) / x ** 2
 
 
 def levy_table(params, xs, y0=None, levels=8):
-    """DensityTable of the Levy density over a grid avoiding 0."""
-    xs = np.asarray(xs, dtype=float)
+    """DensityTable of the Levy density over a strictly increasing grid
+    avoiding 0."""
+    xs = _grid(xs)
     if np.any(np.abs(xs) < 1e-12):
         raise DomainError("grid must avoid x = 0")
-    ladder = _ladder(y0, levels, xs)
-    f, err = _tau_density(params, xs, ladder)
+    f, err, ladder = _inversion(lambda ys: phi_boundary(params, xs, ys), xs,
+                                y0, levels)
     return DensityTable(xs=xs, values=f / xs ** 2,
                         errs=err / xs ** 2, y_ladder=ladder)
 
@@ -377,12 +351,8 @@ def tau_interval_mass(params, u, v, y0=None, levels=6):
 def tau_atom(params, x, y0=None, levels=8):
     """tau({x}) = lim iy phi(x+iy) / (1 + x**2)."""
     x = float(x)
-    ys = _ladder(y0, levels, x)
-    phi = phi_boundary(params, x, ys)
-    val, _err = _richardson(1j * ys * phi, police=True)
-    if abs(val.imag) > 1e-6 * (1.0 + abs(val.real)):
-        raise ConvergenceError("iy*phi(x+iy) kept an imaginary part")
-    return float(val.real) / (1.0 + x ** 2)
+    return _atom_limit(lambda ys: phi_boundary(params, x, ys), x, y0, levels,
+                       1e-6) / (1.0 + x ** 2)
 
 
 def _phi_at_i(params):
@@ -406,13 +376,16 @@ def levy_triplet(params, xmin, xmax, n, y0=None, levels=8):
         raise DomainError("need xmin < xmax")
     xs = np.linspace(float(xmin), float(xmax), int(n))
     xs = xs[np.abs(xs) > 1e-12]
-    ladder = _ladder(y0, levels, (xmin, xmax))
-    nu = levy_table(params, xs, y0=ladder[0], levels=levels)
+    if not xs.size:
+        raise DomainError("the window's grid has no point off x = 0")
+    y0 = _ladder(y0, levels, (xmin, xmax))[0]
+    nu = levy_table(params, xs, y0=y0, levels=levels)
     gx, gw = _gauss_nodes(float(xmin), float(xmax))
-    f, _err = _tau_density(params, gx, ladder)
+    f, _err, _ = _inversion(lambda ys: phi_boundary(params, gx, ys), gx, y0,
+                            levels)
     moment = float(np.sum(gw * gx * f / (1.0 + gx ** 2)))
     gamma = float(_phi_at_i(params).real) + 2.0 * moment
-    a = tau_atom(params, 0.0, y0=ladder[0], levels=levels)
+    a = tau_atom(params, 0.0, y0=y0, levels=levels)
     return LevyTriplet(gamma=gamma, a=a, nu=nu)
 
 

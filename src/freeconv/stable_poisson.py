@@ -18,7 +18,7 @@ import numpy as np
 
 from .branches import _branch_log, _log_principal_raw, _scalar, _unmasked
 from .errors import DomainError
-from .family import ANGLE_TOL, _require_admissible, _stage1, _upper
+from .family import ANGLE_TOL, _admissible_s, _stage1, _upper
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class StableParams:
     R: float = field(init=False)       # |s|
 
     def __post_init__(self):
-        _require_admissible(self.alpha, self.s)
+        object.__setattr__(self, "s", _admissible_s(self.alpha, self.s))
         th = float(np.angle(complex(self.s)))
         object.__setattr__(self, "theta", max(th, 0.0))
         object.__setattr__(self, "R", abs(complex(self.s)))

@@ -3,7 +3,8 @@
 The boundary limit -(1/pi) lim_{y->0} Im G(x+iy) is taken numerically with
 a Richardson tableau on the halving ladder y_k = y0 * 2**-k.  Atoms show up
 as divergent ladders (the tableau refuses to extrapolate them) and have
-their own evaluator via lim iy*G(x+iy).  The module also carries the
+their own evaluator via lim iy*G(x+iy).  phi's boundary values (the Levy
+data in fid) go through the same two helpers.  The module also carries the
 closed-form densities used as oracles elsewhere.
 """
 
@@ -82,32 +83,41 @@ def _richardson(vals, police=False):
     return diag[-1], incs[-1]
 
 
-def _inversion(G, xs, y0, levels, police=False):
-    """(density, err, ladder): -(1/pi) lim Im G(x+iy) at the points xs,
-    with G called once on the whole ladder grid."""
+def _inversion(samples, xs, y0, levels, police=False):
+    """(density, err, ladder): -(1/pi) lim Im g(x+iy) at the points xs,
+    with samples(ys) = g on the whole ladder grid, one row per rung:
+    G(xs + 1j*ys[:, None]) for G, phi_boundary(params, xs, ys) for phi."""
     ladder = _ladder(y0, levels, xs)
-    vals = -np.imag(G(xs + 1j * ladder[:, None])) / np.pi
+    vals = -np.imag(samples(ladder)) / np.pi
     dens, err = _richardson(vals, police)
     return dens.real, err, ladder
+
+
+def _atom_limit(samples, x, y0, levels, tol):
+    """lim iy*g(x+iy) down the ladder at the point x, with samples(ys) =
+    g(x + 1j*ys); its imaginary part must vanish to tol (relative)."""
+    ys = _ladder(y0, levels, x)
+    val, _err = _richardson(1j * ys * samples(ys), police=True)
+    if abs(val.imag) > tol * (1.0 + abs(val.real)):
+        raise ConvergenceError("the atom limit lim iy*g(x+iy) kept an "
+                               "imaginary part")
+    return float(val.real)
 
 
 def density_from_G(G, x, y0=None, levels=8):
     """(density, err) at real x by extrapolating -(1/pi) Im G(x+iy); the
     length-1 form of build_density_table, which also refuses divergent
     ladders (an atom under x)."""
-    dens, err, _ = _inversion(G, np.asarray([float(x)]), y0, levels,
-                              police=True)
+    xs = np.asarray([float(x)])
+    dens, err, _ = _inversion(lambda ys: G(xs + 1j * ys[:, None]), xs, y0,
+                              levels, police=True)
     return float(dens[0]), float(err[0])
 
 
 def atom_mass(G, x, y0=None, levels=8):
     """mu({x}) = lim iy*G(x+iy); the imaginary part must vanish."""
     x = float(x)
-    ys = _ladder(y0, levels, x)
-    val, _err = _richardson(1j * ys * G(x + 1j * ys), police=True)
-    if abs(val.imag) > 1e-7 * (1.0 + abs(val.real)):
-        raise ConvergenceError("imaginary part of iy*G(x+iy) did not vanish")
-    return float(val.real)
+    return _atom_limit(lambda ys: G(x + 1j * ys), x, y0, levels, 1e-7)
 
 
 @dataclass
@@ -163,16 +173,23 @@ class DensityTable:
                 "y_ladder": [float(v) for v in self.y_ladder]}
 
 
+def _grid(xs):
+    """xs as a float array; it must be a strictly increasing 1-D grid."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 1 or np.any(np.diff(xs) <= 0):
+        raise DomainError("xs must be a strictly increasing 1-D grid")
+    return xs
+
+
 def build_density_table(G, xs, y0=None, levels=8):
     """DensityTable by Stieltjes inversion of G on the grid xs.
 
     G must accept complex arrays (all transforms in this package do); it
     is called once, on the grid of every x and every ladder rung.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 1 or np.any(np.diff(xs) <= 0):
-        raise DomainError("xs must be a strictly increasing 1-D grid")
-    dens, err, ladder = _inversion(G, xs, y0, levels)
+    xs = _grid(xs)
+    dens, err, ladder = _inversion(lambda ys: G(xs + 1j * ys[:, None]), xs,
+                                   y0, levels)
     return DensityTable(xs=xs, values=dens, errs=err, y_ladder=ladder)
 
 

@@ -39,6 +39,19 @@ def test_eval_phi_folds_negative_zero(capsys):
     assert out == "0 0\n"
 
 
+def test_eval_negative_zero_s(capsys):
+    # -1-0i is the s = -1 member, not an arg s = -pi outside the sector
+    want = "-0.19736822693561962 -0.91017972112445467\n"
+    for s in ("--s=-1", "--s=-1-0i", "--s=-1-0j"):
+        code, out, err = run(capsys, "eval", "--alpha", "1", s, "--r", "2",
+                             "--transform", "G", "--z", "1i")
+        assert (code, out, err) == (0, want, ""), s
+    tables = [run(capsys, "density", "--alpha", "1", s, "--r", "1.5",
+                  "--xmin", "0.1", "--xmax", "0.9", "--n", "5")
+              for s in ("--s=-1", "--s=-1-0i")]
+    assert tables[0] == tables[1] and tables[0][0] == 0
+
+
 def test_eval_s_transform(capsys):
     code, out, _ = run(capsys, "eval", "--transform", "S", "--alpha", "1",
                        "--s", "i", "--z", "-0.5")
@@ -162,6 +175,31 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         fid + ("--nx", "-3"),
         fid + ("--ny", "1"),
         fid + ("--nx", "4.5"),
+    ]
+    # rect, ladder and tolerance values: finite, --y0 > 0, --tol >= 0
+    cases += [
+        fid + ("--tol", "nan", "--nx", "40", "--ny", "20"),
+        fid + ("--tol", "inf"),
+        fid + ("--tol=-1e-9",),
+        ("fid", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "0",
+         "--xmax", "inf", "--ymin", "1e-3", "--ymax", "1", "--nx", "4",
+         "--ny", "4"),
+        ("fid", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "0",
+         "--xmax", "1", "--ymin", "nan", "--ymax", "1"),
+        ("fid", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin=-inf",
+         "--xmax", "1", "--ymin", "1e-3", "--ymax", "1"),
+        ("density", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "0",
+         "--xmax", "inf", "--n", "3"),
+        density + ("--y0=-1",),
+        density + ("--y0", "0"),
+        density + ("--y0", "nan"),
+        ("density", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "nan",
+         "--xmax", "1"),
+        levy + ("--xmax", "inf"),
+        levy + ("--y0", "inf"),
+        ("verify", "--tol", "nan"),
+        ("verify", "--tol=-1"),
+        ("verify", "--tol", "abc"),
     ]
     # size caps: each cap + 1, and a size numpy itself cannot allocate
     cases += [

@@ -7,7 +7,7 @@ from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       is_admissible, reciprocal_F, series_coefficients,
                       series_G, verification_cone, verify_composition,
                       verify_self_similarity, voiculescu_phi)
-from freeconv.family import _descent, phi_boundary, phi_masked
+from freeconv.family import _descent, phi_boundary
 from freeconv.stable_poisson import StableParams, stable_G
 
 
@@ -31,6 +31,29 @@ def test_admissible_sector():
     assert is_admissible(1.5, np.exp(1j * np.pi / 4))
     assert not is_admissible(1.0, -1.0 - 1e-6j)  # arg below 0
     assert not is_admissible(2.5, 1.0)
+
+
+def test_negative_zero_s_is_the_negative_axis():
+    # arg(-1-0j) is -pi; a signed zero is folded to +0, so these are the
+    # s = -1 members, bit for bit
+    neg0 = -(1 + 0j)
+    assert np.signbit(neg0.imag)
+    assert is_admissible(1.0, neg0) and is_admissible(0.5, neg0)
+    z = np.array([1j, 0.3 + 0.2j, -2.0 + 0.5j, 1e-3 + 1e-9j])
+    for alpha, r in ((1.0, 2.0), (0.5, 2.0), (1.0, 1.5)):
+        p, want = FamilyParams(alpha, neg0, r), FamilyParams(alpha, -1.0, r)
+        assert p.theta == want.theta == np.pi
+        assert not np.signbit(p.s.imag)
+        for fn in (cauchy_G, reciprocal_F, inverse_F, voiculescu_phi):
+            assert np.array_equal(fn(p, z), fn(want, z))
+        assert np.array_equal(phi_boundary(p, 0.3, np.array([1.0, 0.5])),
+                              phi_boundary(want, 0.3, np.array([1.0, 0.5])))
+    a, want = StableParams(1.0, neg0), StableParams(1.0, -1.0)
+    assert (a.theta, a.R) == (want.theta, want.R) == (np.pi, 1.0)
+    assert np.array_equal(stable_G(a, z), stable_G(want, z))
+    # a complex s without signed zeros is kept as given
+    assert FamilyParams(1.0, 3j, 2.0).s == 3j
+    assert FamilyParams(1.0, -1.0, 2.0).s == -1.0
 
 
 def test_r1_collapses_to_point_mass():
@@ -193,14 +216,6 @@ def test_self_similarity():
                                   grid) < 1e-11
     with pytest.raises(DomainError):
         verify_self_similarity(p, -1.0, grid)
-
-
-def test_phi_masked_matches_raising_form_on_cone():
-    p = FamilyParams(1.0, -1.0, 2.0)
-    grid = default_cone(1.0, -1.0, 2.0).sample(40)
-    vals, ok = phi_masked(p, grid)
-    assert np.all(ok)
-    np.testing.assert_allclose(vals, voiculescu_phi(p, grid), atol=1e-13)
 
 
 def test_phi_boundary_continues_cone_values():

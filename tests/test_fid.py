@@ -90,13 +90,22 @@ def test_levy_r2_is_the_scaled_stable_density():
     assert levy_density_numeric(beta2, 0.7) == pytest.approx(0.0, abs=1e-8)
 
 
-def test_levy_table_matches_pointwise():
+def test_levy_table_matches_pointwise(monkeypatch):
     cubic = FamilyParams(1.0, 3j, 3.0)
     xs = np.array([-1.5, -0.5, 0.5, 1.5])
     tab = levy_table(cubic, xs)
     np.testing.assert_allclose(tab.values, levy_cubic_closed(xs), atol=1e-5)
-    with pytest.raises(DomainError):
-        levy_table(cubic, np.array([0.0, 1.0]))
+
+    # a bad grid is refused before the continuation runs
+    def no_continuation(*args):
+        raise AssertionError("phi_boundary called")
+
+    monkeypatch.setattr(fid, "phi_boundary", no_continuation)
+    for bad in ([0.0, 1.0], [], [0.6, 0.5], [0.5, 0.5], [[0.5, 0.6]]):
+        with pytest.raises(DomainError):
+            levy_table(cubic, bad)
+    with pytest.raises(DomainError, match="no point off x = 0"):
+        levy_triplet(cubic, 0.0, 1.0, 1)  # the only grid point is x = 0
 
 
 def test_levy_table_blocks_are_exact(monkeypatch):
@@ -178,6 +187,47 @@ def test_r0_threshold():
         r0_threshold(1.0, -1.0)
     with pytest.raises(DomainError):
         r0_threshold(1.5, -1j)
+    with pytest.raises(DomainError):
+        r0_threshold(1.5, -1.0)  # arg s = pi > (2 - alpha) pi
+
+
+def _r0_walk(alpha, thetas, n=65):
+    """Reference for r0_threshold by walking the arcs, every theta at
+    once: step outward from 1 along each half of the unit circle while
+    e^{it} stays in the sector theta - pi < arg(e^{it} - 1) <
+    theta - pi + alpha*pi, pin the exit by 60 bisections on the
+    membership predicate (the n steps only bracket it), and return 2 pi
+    over the wider arc (at most pi)."""
+    a1 = thetas[:, None] - np.pi
+
+    def members(ts):
+        beta = np.angle(np.exp(1j * ts) - 1.0)
+        rel = np.mod(beta - a1, 2.0 * np.pi)
+        return (rel > 1e-14) & (rel < alpha * np.pi - 1e-14)
+
+    best = np.zeros(thetas.size)
+    for sign in (1.0, -1.0):
+        ts = sign * np.linspace(1e-9, np.pi, n)
+        m = members(ts[None, :])
+        stop = np.argmin(m, axis=1)  # first non-member along the walk
+        lo = ts[np.maximum(stop - 1, 0)][:, None]
+        hi = ts[stop][:, None]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            inside = members(mid)
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        extent = np.where(m.all(axis=1), np.pi, np.abs(0.5 * (lo + hi))[:, 0])
+        best = np.maximum(best, np.where(m[:, 0], extent, 0.0))
+    return 2.0 * np.pi / best
+
+
+def test_r0_threshold_is_the_walked_arc():
+    # the closed form against the walk, over the whole stated range
+    for alpha in np.linspace(1.0, 2.0, 101)[1:]:
+        thetas = np.linspace(0.0, (2.0 - alpha) * np.pi, 100)
+        want = _r0_walk(alpha, thetas)
+        got = np.array([r0_threshold(alpha, np.exp(1j * t)) for t in thetas])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
 
 
 def test_theory_verdict_table():
@@ -220,6 +270,16 @@ def test_fid_grid_finds_violation():
     assert d["witness"] == {"re": w.real, "im": w.imag}
     with pytest.raises(DomainError):
         check_fid_grid(FamilyParams(1.0, -3.0, 3.0), rect=(0, 1, 0, 1))
+    # a rect or tol that is not finite is refused, not scanned as clean
+    for rect in ((0.0, np.inf, 1e-3, 1.0), (-np.inf, 1.0, 1e-3, 1.0),
+                 (0.0, 1.0, 1e-3, np.inf), (np.nan, 1.0, 1e-3, 1.0)):
+        with pytest.raises(DomainError):
+            check_fid_grid(FamilyParams(1.0, -1.0, 1.5), rect=rect, nx=4,
+                           ny=4)
+    for tol in (np.nan, np.inf, -1e-9):
+        with pytest.raises(DomainError):
+            check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=40, ny=20,
+                           tol=tol)
     # a degenerate grid is refused, not reported as a clean scan
     for nx, ny in ((1, 60), (0, 60), (120, 1), (-3, 60)):
         with pytest.raises(DomainError):
