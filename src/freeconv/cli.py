@@ -461,6 +461,9 @@ def _run(argv):
             _thread_count()  # every tracked continuation reads it
         except DomainError as exc:
             return _config_error(str(exc))
+        lo, hi = getattr(args, "xmin", None), getattr(args, "xmax", None)
+        if lo is not None and hi is not None and not np.isfinite(hi - lo):
+            return _config_error("--xmax - --xmin overflows")
         return args.func(args)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

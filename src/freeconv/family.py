@@ -56,18 +56,11 @@ def is_admissible(alpha, s):
     Angles are compared with a 1e-12 tolerance.  A negative-zero
     imaginary part counts as +0, so s = -1-0j has theta = pi.
     """
-    if not (0.0 < alpha <= 2.0):
+    try:
+        _admissible_s(alpha, complex(s))
+    except AdmissibilityError:
         return False
-    s = _fold_zero(complex(s))
-    if s == 0:
-        return False
-    theta = np.angle(s)
-    if theta < -ANGLE_TOL:
-        return False
-    theta = max(theta, 0.0)
-    if alpha <= 1.0:
-        return theta >= (1.0 - alpha) * np.pi - ANGLE_TOL
-    return theta <= (2.0 - alpha) * np.pi + ANGLE_TOL
+    return True
 
 
 def _fold_zero(s):
@@ -76,18 +69,25 @@ def _fold_zero(s):
 
 
 def _admissible_s(alpha, s):
-    """s, folded; AdmissibilityError outside the admissible sector."""
+    """(s folded, theta = max(arg s, 0)), the one source of theta;
+    AdmissibilityError outside the admissible sector (see is_admissible)."""
     s = _fold_zero(s)
-    if not is_admissible(alpha, s):
+    arg = float(np.angle(s))
+    theta = max(arg, 0.0)
+    if alpha <= 1.0:
+        inside = theta >= (1.0 - alpha) * np.pi - ANGLE_TOL
+    else:
+        inside = theta <= (2.0 - alpha) * np.pi + ANGLE_TOL
+    if not (0.0 < alpha <= 2.0 and s != 0 and arg >= -ANGLE_TOL and inside):
         raise AdmissibilityError(
             f"(alpha={alpha}, s={s}) is outside the admissible sector")
-    return s
+    return s, theta
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """The triple (alpha, s, r).  theta = arg s, normalized into [0, 2*pi);
-    a negative-zero imaginary part of s is stored as +0."""
+    """The triple (alpha, s, r).  theta = max(arg s, 0), in [0, pi]; a
+    negative-zero imaginary part of s is stored as +0."""
 
     alpha: float
     s: complex
@@ -95,13 +95,11 @@ class FamilyParams:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _admissible_s(self.alpha, self.s))
+        s, theta = _admissible_s(self.alpha, self.s)
         if not self.r > 0:
             raise DomainError("r must be positive")
-        th = float(np.angle(complex(self.s)))
-        if th < 0.0:
-            th += 2.0 * np.pi
-        object.__setattr__(self, "theta", th)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -260,18 +258,22 @@ def voiculescu_phi(params, z):
     return _scalar(np.asarray(inverse_F(params, z)) - z)
 
 
-def _descent(y_top, y_end):
-    """The dense geometric descent from y_top to y_end < y_top, 24 points
-    a decade and at least 48: np.geomspace bit for bit, without its
-    overhead, as 10**(an arithmetic progression in log10 y) with both
-    ends set exactly.  Differences of logs, not the ratio, which
-    overflows for subnormal y_end."""
-    log_top, log_end = np.log10(y_top), np.log10(y_end)
-    n = max(48, int(24.0 * (log_top - log_end)) + 1)
-    ys = 10.0 ** (np.arange(n, dtype=float) * ((log_end - log_top) / (n - 1))
-                  + log_top)
-    ys[0], ys[-1] = y_top, y_end
-    return ys
+def _path(y_top, ys_desc):
+    """(path, rows): y_top, then ys_desc with each gap split into equal
+    steps in log y, 24 or more a decade and 48 or more in all, so that
+    path[rows] == ys_desc exactly.  Logs, not ratios, which overflow for
+    subnormal rows."""
+    ends = np.concatenate(([y_top], ys_desc))
+    logs = np.log10(ends)
+    steps = np.ceil(max(24.0, 48.0 / float(logs[0] - logs[-1]))
+                    * (logs[:-1] - logs[1:]))
+    np.maximum(steps, 1.0, out=steps)  # rows an ulp apart can share a log
+    knots = np.zeros(ends.size)
+    np.add.accumulate(steps, out=knots[1:])
+    path = 10.0 ** np.interp(np.arange(knots[-1] + 1.0), knots, logs)
+    knots = knots.astype(np.intp)
+    path[knots] = ends
+    return path, knots[1:]
 
 
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):
@@ -282,14 +284,15 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     truncated cone; descending toward the real axis its two non-integer
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
-    are lifted continuously (unwrapped) along a dense geometric descent,
-    staying on the sheet that continues the cone values.  ys_desc must be
-    finite, positive and strictly decreasing.  Returns (phi, ok) with rows
-    matching ys_desc; a column is masked below any point where the
-    continuation degenerates (zero or infinity in an intermediate).
-    Blocks of columns run on _thread_count() threads when there are two
-    or more; the result does not depend on the thread count or the block
-    size.
+    are lifted continuously (unwrapped) down _path, through the rows
+    ys_desc in steps of at most 1/24 decade (coarser steps let columns
+    switch sheet), staying on the sheet that continues the cone values.
+    ys_desc must be finite, positive and strictly decreasing, and the
+    path's start finite.  Returns (phi, ok) with rows matching ys_desc; a
+    column is masked below any point where the continuation degenerates
+    (zero or infinity in an intermediate).  Blocks of columns run on
+    _thread_count() threads when there are two or more; the result does
+    not depend on the thread count or the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys_desc = np.asarray(ys_desc, dtype=float).ravel()
@@ -298,16 +301,16 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
         raise DomainError("ys must be finite, positive and strictly "
                           "decreasing")
     sp, rp = complex(s) / r, 1.0 / r
-    scale = max(1.0, abs(complex(s)) ** (1.0 / alpha),
-                abs(sp) ** (1.0 / alpha)) * max(1.0, r, rp)
+    try:
+        scale = max(1.0, abs(complex(s)) ** (1.0 / alpha),
+                    abs(sp) ** (1.0 / alpha)) * max(1.0, r, rp)
+    except OverflowError:  # refused below with the other overflows
+        scale = np.inf
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
-    # sorted and deduplicated as np.unique would, without its np.ma check,
-    # which imports numpy.ma (about 15 ms) on the first scan of a process
-    path = np.sort(np.concatenate([_descent(y_top, float(ys_desc[-1])),
-                                   ys_desc]))
-    path = path[np.append(True, path[1:] != path[:-1])][::-1]
-    idx = np.searchsorted(-path, -ys_desc)
+    if not np.isfinite(y_top):
+        raise DomainError("the path start overflows: |s|, |x| or y too large")
+    path, rows = _path(y_top, ys_desc)
     phi = np.empty((ys_desc.size, xs.size), dtype=complex)
     ok = np.empty(phi.shape, dtype=bool)
     # columns are continued independently: blocks of them keep the dense
@@ -320,8 +323,8 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
         Z = xs[None, j:j + width] + 1j * path[:, None]
         with np.errstate(all="ignore"):
             f_inv, ok_b = _F_masked(alpha, sp, rp, Z, track=True)
-        phi[:, j:j + width] = f_inv[idx] - Z[idx]
-        ok[:, j:j + width] = ok_b[idx]
+        phi[:, j:j + width] = f_inv[rows] - Z[rows]
+        ok[:, j:j + width] = ok_b[rows]
 
     nthreads = _thread_count() if len(starts) > 1 else 1
     if nthreads > 1:

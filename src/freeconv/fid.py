@@ -16,8 +16,8 @@ import numpy as np
 
 from .branches import _branch_log, _scalar, _unmasked
 from .errors import DomainError, FreeconvError
-from .family import (_F_masked, _phi_tracked_block, _stage1, _upper,
-                     _worst, phi_boundary)
+from .family import (_F_masked, _admissible_s, _phi_tracked_block,
+                     _stage1, _upper, _worst, phi_boundary)
 # perfbench records the pool size it ran with as fid._thread_count()
 from .family import _thread_count  # noqa: F401
 from .stieltjes import (DensityTable, _atom_limit, _grid, _inversion,
@@ -80,14 +80,6 @@ def default_fid_rect(params):
     return (-5.0 * L, 5.0 * L, 1e-6 * L, 5.0 * L)
 
 
-def _phi_im_grid(params, xs, ys):
-    """(Im phi, ok) over the grid, rows indexed by ascending ys; columns
-    are continued independently from the cone (see _phi_tracked_block)."""
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
-                                 ys[::-1])
-    return phi.imag[::-1, :], ok[::-1, :]
-
-
 def _confirm_violation(params, xs, ys, i, j, tol):
     """Re-test a flagged grid point on a 4x-refined local patch; returns
     (witness, im_phi) or None if the flag does not persist."""
@@ -115,23 +107,25 @@ def check_fid_grid(params, rect=None, nx=400, ny=200, tol=1e-9):
     if rect is None:
         rect = default_fid_rect(params)
     xmin, xmax, ymin, ymax = rect
-    if not (np.all(np.isfinite(rect)) and xmin < xmax and 0.0 < ymin < ymax):
-        raise DomainError("need a finite rect with xmin < xmax and "
-                          "0 < ymin < ymax")
+    if not (np.all(np.isfinite(rect)) and xmin < xmax and 0.0 < ymin < ymax
+            and np.isfinite(float(xmax) - float(xmin))):
+        raise DomainError("need a finite rect with xmin < xmax, a finite "
+                          "width xmax - xmin and 0 < ymin < ymax")
     if not 0.0 <= tol < np.inf:
         raise DomainError("tol must be finite and >= 0")
     if nx < 2 or ny < 2:
         raise DomainError("the scan grid needs nx >= 2 and ny >= 2")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.geomspace(ymin, ymax, ny)
-    im, ok = _phi_im_grid(params, xs, ys)
+    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
+                                 ys[::-1])
     n_failures = int(ok.size - np.count_nonzero(ok))
-    viol = ok & (im > tol)
+    viol = ok & (phi.imag > tol)
     witness = None
     wit_val = None
     if np.any(viol):
         # scan bottom row (smallest y) outward; first confirmed point wins
-        for i, j in zip(*np.nonzero(viol)):
+        for i, j in zip(*np.nonzero(viol[::-1])):
             hit = _confirm_violation(params, xs, ys, int(i), int(j), tol)
             if hit is not None:
                 witness, wit_val = hit
@@ -229,13 +223,12 @@ def r0_threshold(alpha, s):
 
     arg(e^{it} - 1) is pi/2 + t/2 on (0, pi] and t/2 - pi/2 on [-pi, 0),
     so the arcs end at t = 2 theta + (2 alpha - 3) pi and at
-    t = 2 theta - pi (an arc of length <= 0 is absent).
+    t = 2 theta - pi (an arc of length <= 0 is absent).  theta is the
+    parameter classes' own; AdmissibilityError outside the sector.
     """
     if not alpha > 1.0:
         raise DomainError("threshold is stated for alpha > 1")
-    theta = float(np.angle(complex(s)))
-    if not -1e-12 <= theta <= (2.0 - alpha) * np.pi + 1e-12:
-        raise DomainError("need arg s in [0, (2 - alpha) pi]")
+    theta = _admissible_s(alpha, s)[1]
     extent = max(2.0 * theta + (2.0 * alpha - 3.0) * np.pi,
                  np.pi - 2.0 * theta)
     return float(2.0 * np.pi / extent)

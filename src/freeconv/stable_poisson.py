@@ -29,9 +29,9 @@ class StableParams:
     R: float = field(init=False)       # |s|
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _admissible_s(self.alpha, self.s))
-        th = float(np.angle(complex(self.s)))
-        object.__setattr__(self, "theta", max(th, 0.0))
+        s, theta = _admissible_s(self.alpha, self.s)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "R", abs(complex(self.s)))
 
 

@@ -197,6 +197,11 @@ def test_config_errors_exit_2(capsys, monkeypatch):
          "--xmax", "1"),
         levy + ("--xmax", "inf"),
         levy + ("--y0", "inf"),
+        # finite ends whose difference overflows: the grid would be NaN
+        density + ("--xmin=-1e308", "--xmax", "1e308"),
+        levy + ("--xmin=-1e308", "--xmax", "1e308"),
+        fid + ("--xmin=-1e308", "--xmax", "1e308", "--ymin", "1e-3",
+               "--ymax", "1", "--nx", "4", "--ny", "4"),
         ("verify", "--tol", "nan"),
         ("verify", "--tol=-1"),
         ("verify", "--tol", "abc"),
@@ -242,6 +247,24 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
                        "--s", "-1", "--r", "2", "--z=-1-1i")
     assert code == 1
     assert err.startswith("error:")
+    # a continuation whose starting height overflows (2 * max y, 1.5 *
+    # max|x| or the scale of a huge |s|) is an error line, not a trace
+    for argv in (("fid", "--alpha", "1", "--s=-1", "--r", "2", "--xmin=-1",
+                  "--xmax", "1", "--ymin", "1e-3", "--ymax", "1e308",
+                  "--nx", "4", "--ny", "4"),
+                 ("fid", "--alpha", "1", "--s=-1", "--r", "2", "--xmin=0",
+                  "--xmax", "1.5e308", "--ymin", "1e-3", "--ymax", "1",
+                  "--nx", "4", "--ny", "4"),
+                 ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=1",
+                  "--xmax", "1.5e308", "--n", "3"),
+                 ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=-1",
+                  "--xmax", "1", "--n", "5", "--y0", "1e308"),
+                 ("levy", "--alpha", "0.5", "--s=-1e300", "--r", "2",
+                  "--xmin=-1", "--xmax", "1", "--n", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, argv
     # an output file that cannot be written is an error line, not a trace
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "verify", "--suite", "inversion", "--out",

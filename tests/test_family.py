@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       TruncatedCone, cauchy_G, default_cone, inverse_F,
-                      is_admissible, reciprocal_F, series_coefficients,
-                      series_G, verification_cone, verify_composition,
-                      verify_self_similarity, voiculescu_phi)
-from freeconv.family import _descent, phi_boundary
+                      is_admissible, r0_threshold, reciprocal_F,
+                      series_coefficients, series_G, verification_cone,
+                      verify_composition, verify_self_similarity,
+                      voiculescu_phi)
+from freeconv.family import _path, phi_boundary
 from freeconv.stable_poisson import StableParams, stable_G
 
 
@@ -54,6 +55,15 @@ def test_negative_zero_s_is_the_negative_axis():
     # a complex s without signed zeros is kept as given
     assert FamilyParams(1.0, 3j, 2.0).s == 3j
     assert FamilyParams(1.0, -1.0, 2.0).s == -1.0
+
+
+def test_theta_just_below_zero_reads_zero():
+    # an arg s just below 0, inside the sector's tolerance, is theta = 0
+    # in both parameter classes and in r0_threshold (FamilyParams read
+    # 2*pi - 1e-13)
+    s = 1 - 1e-13j
+    assert FamilyParams(1.0, s, 3.0).theta == StableParams(1.0, s).theta == 0.0
+    assert r0_threshold(1.5, s) == r0_threshold(1.5, 1.0) == 2.0
 
 
 def test_r1_collapses_to_point_mass():
@@ -240,18 +250,32 @@ def test_phi_boundary_near_axis_alpha2():
         np.testing.assert_allclose(tracked, want, atol=1e-12)
 
 
-def test_descent_is_geomspace():
-    # the tracked continuation's dense path, with the point count the
-    # descent picks; subnormal ends, whose ratio to y_top overflows, too
+def test_path_passes_through_the_rows():
+    # the continuation's path: the caller's rows exactly, no step wider
+    # than 1/24 decade, at least 48 steps; subnormal rows, whose ratio to
+    # y_top overflows, too
     rng = np.random.default_rng(5)
-    tops = 10.0 ** rng.uniform(-2.0, 6.0, 200)
-    ends = np.concatenate([10.0 ** rng.uniform(-300.0, -1.0, 196),
-                           [1e-310, 5e-324, 2.2e-308, 1e-300]])
-    for top, end in zip(tops, ends):
-        got = _descent(float(top), float(end))
-        assert np.array_equal(got, np.geomspace(top, end, got.size))
-        decades = np.log10(top) - np.log10(end)
-        assert got.size == max(48, int(24.0 * decades) + 1)
+    for k in range(200):
+        top = 10.0 ** rng.uniform(-2.0, 6.0)
+        rows = 10.0 ** rng.uniform(-300.0, np.log10(top) - 0.31,
+                                   rng.integers(1, 40))
+        if k < 4:
+            rows[0] = (1e-310, 5e-324, 2.2e-308, 1e-300)[k]
+        ys = np.unique(rows)[::-1]
+        path, idx = _path(top, ys)
+        assert path[0] == top and np.array_equal(path[idx], ys)
+        # subnormal path points may round to equal values
+        assert path.size - 1 >= 48 and np.all(np.diff(path) <= 0.0)
+        steps = -np.diff(np.log10(path[path > 1e-300]))
+        assert np.max(steps) <= (1.0 + 1e-9) / 24.0
+    # rows that are already dense get no points between them
+    ys = np.geomspace(10.0, 1e-6, 200)
+    path, idx = _path(20.0, ys)
+    assert np.array_equal(idx, np.arange(8, 208))  # 8 steps down to 10
+    # rows an ulp apart share a log10 and still get a step of their own
+    ys = np.array([1e300, np.nextafter(1e300, 0.0), 1e299])
+    path, idx = _path(1.5e307, ys)
+    assert np.array_equal(path[idx], ys) and idx[1] == idx[0] + 1
 
 
 def test_phi_boundary_rejects_bad_ladder():

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from freeconv import family, fid
-from freeconv import (DomainError, FamilyParams, StableParams, cauchy_G,
-                      check_fid_grid, collision_search, e_function,
-                      find_E_zero, im_phi_cubic_pi2, levy_beta_closed,
+from freeconv import (AdmissibilityError, DomainError, FamilyParams,
+                      StableParams, cauchy_G, check_fid_grid,
+                      collision_search, e_function, find_E_zero,
+                      im_phi_cubic_pi2, is_admissible, levy_beta_closed,
                       levy_cubic_closed, levy_density_numeric, levy_table,
                       levy_triplet, phi_cubic, quadrature, r0_threshold,
                       stable_density, tau_atom, tau_interval_mass,
@@ -113,13 +114,13 @@ def test_levy_table_blocks_are_exact(monkeypatch):
     # the number of threads can change a single bit of the result
     cubic = FamilyParams(1.0, 3j, 3.0)
     xs = np.linspace(-3.0, 3.0, 400)
-    grid = (np.linspace(-4.0, 4.0, 120), np.geomspace(1e-6, 4.0, 60))
+    grid = (np.linspace(-4.0, 4.0, 120), np.geomspace(4.0, 1e-6, 60))
 
     def results():
         tab = levy_table(cubic, xs)
         out = [tab.values, tab.errs]
         for m in ((1.0, -3.0, 3.0), (1.0, -1.0, 2.0)):
-            out += fid._phi_im_grid(FamilyParams(*m), *grid)
+            out += family._phi_tracked_block(*m, *grid)
         return out
 
     monkeypatch.delenv("FREECONV_THREADS", raising=False)
@@ -146,7 +147,7 @@ def test_levy_table_blocks_are_exact(monkeypatch):
 
 
 def test_levy_table_memory_is_bounded():
-    # the dense descent path is held for one block of columns at a time;
+    # the continuation path is held for one block of columns at a time;
     # holding it for all 20000 points at once peaked above 300 MB
     cubic = FamilyParams(1.0, 3j, 3.0)
     xs = np.linspace(-5.0, 5.0, 20000)
@@ -185,9 +186,9 @@ def test_r0_threshold():
     assert r0_threshold(2.0, 1.0) == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(DomainError):
         r0_threshold(1.0, -1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(AdmissibilityError):
         r0_threshold(1.5, -1j)
-    with pytest.raises(DomainError):
+    with pytest.raises(AdmissibilityError):
         r0_threshold(1.5, -1.0)  # arg s = pi > (2 - alpha) pi
 
 
@@ -276,6 +277,17 @@ def test_fid_grid_finds_violation():
         with pytest.raises(DomainError):
             check_fid_grid(FamilyParams(1.0, -1.0, 1.5), rect=rect, nx=4,
                            ny=4)
+    # so is one whose width overflows: its grid was all NaN, which read
+    # as a clean scan of a not-fid member
+    with pytest.raises(DomainError, match="width"):
+        check_fid_grid(FamilyParams(1.0, -3.0, 3.0),
+                       rect=(-1e308, 1e308, 1e-3, 1.0), nx=4, ny=4)
+    # a finite rect whose continuation cannot start (2 * ymax, 1.5 * xmax
+    # overflow) is refused by the continuation
+    for rect in ((-1.0, 1.0, 1e-3, 1e308), (0.0, 1.5e308, 1e-3, 1.0)):
+        with pytest.raises(DomainError, match="path start overflows"):
+            check_fid_grid(FamilyParams(1.0, -1.0, 2.0), rect=rect, nx=4,
+                           ny=4)
     for tol in (np.nan, np.inf, -1e-9):
         with pytest.raises(DomainError):
             check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=40, ny=20,
@@ -284,6 +296,41 @@ def test_fid_grid_finds_violation():
     for nx, ny in ((1, 60), (0, 60), (120, 1), (-3, 60)):
         with pytest.raises(DomainError):
             check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=nx, ny=ny)
+
+
+# the atlas's "unknown" members on which the default scan finds no
+# violation, as (alpha, k, r) with arg s = k*pi/6; every other unknown
+# member shows a confirmed one
+_ATLAS_CLEAN_UNKNOWN = {
+    (0.5, 4, 2.5), (0.5, 4, 3.0), (0.5, 5, 2.5), (0.5, 5, 3.0),
+    (0.8, 3, 2.5), (0.8, 4, 2.5), (1.0, 2, 2.5), (1.0, 3, 2.5),
+    (1.0, 4, 2.5), (1.3, 1, 2.5), (1.3, 2, 2.5), (1.3, 3, 2.5),
+    (1.7, 0, 1.5), (1.7, 1, 1.5), (1.7, 1, 2.5), (2.0, 0, 1.5)}
+
+
+def test_fid_atlas_agrees_with_theory():
+    # the 120 admissible members with alpha in {0.5, 0.8, 1, 1.3, 1.7, 2},
+    # arg s = k*pi/6 and r in {1.5, 2.5, 3, 4, 6}, at the CLI's default
+    # 400x200 scan: no verdict contradicts theory_verdict, and the
+    # verdicts on the 57 members it cannot classify stay as recorded
+    counts = {"fid": 0, "not-fid": 0, "unknown": 0}
+    for alpha in (0.5, 0.8, 1.0, 1.3, 1.7, 2.0):
+        for k in range(7):
+            s = np.exp(1j * k * np.pi / 6.0)
+            if not is_admissible(alpha, s):
+                continue
+            for r in (1.5, 2.5, 3.0, 4.0, 6.0):
+                rep = check_fid_grid(FamilyParams(alpha, s, r))
+                counts[rep.theory] += 1
+                clean = rep.verdict == "no-violation-on-grid"
+                if rep.theory == "unknown":
+                    want = (alpha, k, r) in _ATLAS_CLEAN_UNKNOWN
+                else:
+                    want = rep.theory == "fid"
+                assert clean == want, (alpha, k, r, rep.theory)
+                assert clean == (rep.witness is None)
+                assert rep.n_failures == 0
+    assert counts == {"fid": 22, "not-fid": 41, "unknown": 57}
 
 
 def test_tau_values():
