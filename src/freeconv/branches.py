@@ -142,13 +142,13 @@ def binom_coeff(p, m):
     return out
 
 
-def binom_series(w, p, n_max=None, eps=1e-14):
+def binom_series(w, p, n_max=None):
     """(1+w)**p by its generalized binomial series, |w| < 1 required.
 
     With n_max given, the partial sum through order n_max is returned.
-    Otherwise terms are added until the next one falls below eps * (1 - |w|),
-    which bounds the geometric tail by eps; ConvergenceError past
-    SERIES_MAX_TERMS.
+    Otherwise terms are added until the next one falls below
+    1e-14 * (1 - |w|), which bounds the geometric tail by 1e-14;
+    ConvergenceError past SERIES_MAX_TERMS.
     """
     w = complex(w)
     aw = abs(w)
@@ -160,7 +160,7 @@ def binom_series(w, p, n_max=None, eps=1e-14):
     for m in range(1, cap + 1):
         term *= (p - (m - 1)) / m * w
         total += term
-        if n_max is None and abs(term) < eps * (1.0 - aw):
+        if n_max is None and abs(term) < 1e-14 * (1.0 - aw):
             return total
     if n_max is None:
         raise ConvergenceError(

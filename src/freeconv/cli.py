@@ -163,15 +163,19 @@ def _emit_table(table, cfg, args, extra=None):
     if extra:
         comments += extra
     if args.format == "csv":
-        text = table.csv_text(comments)
+        _write_atomic(args.out, table.csv_text(comments))
     elif args.format == "plotdata":
-        text = table.plotdata_text(comments)
+        _write_atomic(args.out, table.plotdata_text(comments))
     else:
         payload = {"config": cfg, "table": table.to_dict()}
         if extra:
             payload["notes"] = extra
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    _write_atomic(args.out, text)
+        _emit_json(args, payload)
+
+
+def _emit_json(args, payload):
+    _write_atomic(args.out,
+                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_density(args):
@@ -222,10 +226,7 @@ def cmd_levy(args):
                              "levels", "format"])
     cfg["s"] = _complex_str(params.s)
     if args.format == "json":
-        payload = {"config": cfg, "gamma": trip.gamma, "a": trip.a,
-                   "nu": trip.nu.to_dict()}
-        _write_atomic(args.out,
-                      json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, {"config": cfg, **trip.to_dict()})
     else:
         extra = [f"gamma {_fmt(trip.gamma)}", f"a {_fmt(trip.a)}"]
         _emit_table(trip.nu, cfg, args, extra=extra)
@@ -245,9 +246,7 @@ def cmd_fid(args):
                             tol=args.tol)
     cfg = _run_config(args, ["alpha", "r", "nx", "ny", "tol", "format"])
     cfg["s"] = _complex_str(params.s)
-    payload = {"config": cfg, "report": report.to_dict()}
-    _write_atomic(args.out,
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit_json(args, {"config": cfg, "report": report.to_dict()})
     return 0
 
 
@@ -332,10 +331,8 @@ def cmd_verify(args):
                 passed=res < tol))
     cfg = _run_config(args, ["suite", "tol", "format"])
     passed = all(r.passed for r in results)
-    payload = {"config": cfg, "passed": passed,
-               "results": [r.to_dict() for r in results]}
-    _write_atomic(args.out,
-                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit_json(args, {"config": cfg, "passed": passed,
+                      "results": [r.to_dict() for r in results]})
     return 0 if passed else 3
 
 
@@ -366,15 +363,14 @@ def cmd_eval(args):
     return 0
 
 
-def _add_param_opts(p, with_r=True):
+def _add_param_opts(p):
     p.add_argument("--alpha", type=float, help="stability index in (0, 2]")
     p.add_argument("--s", type=parse_complex,
                    help="scale parameter, e.g. '-1', '3i', '1+2i'")
     p.add_argument("--s-mod", type=float, help="|s| (alternative to --s)")
     p.add_argument("--s-arg", type=float,
                    help="arg s in radians (with --s-mod)")
-    if with_r:
-        p.add_argument("--r", type=float, help="shape parameter, r > 0")
+    p.add_argument("--r", type=float, help="shape parameter, r > 0")
 
 
 def _add_table_opts(p, max_n):

@@ -18,8 +18,9 @@ F(alpha, s, r)^{-1} = F(alpha, s/r, 1/r).  More generally
 holds on truncated cones for any r, u > 0.
 """
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import AdmissibilityError, BranchCutError, DomainError
 ANGLE_TOL = 1e-12
 
 # points (path rows x columns) per continuation block in
-# _phi_tracked_block: small enough for a block's temporaries to stay in
+# _tracked_columns: small enough for a block's temporaries to stay in
 # cache, large enough for numpy to release the GIL for most of its time
 _TRACK_BLOCK_POINTS = 2 ** 15
 
@@ -45,6 +46,13 @@ def _thread_count():
         raise DomainError(f"FREECONV_THREADS must be an integer >= 1, "
                           f"got {env!r}")
     return min(int(env) if env else 4, os.cpu_count() or 1)
+
+
+# one pool per thread count, kept: a pool per call starts new threads, and
+# a new thread can take a new malloc arena, a few resident MB, before the
+# exiting ones free theirs; a forked child has the pools but no threads
+_pool = functools.cache(ThreadPoolExecutor)
+os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
 def is_admissible(alpha, s):
@@ -133,18 +141,26 @@ class TruncatedCone:
         return out
 
 
-def default_cone(alpha, s, r, eta=1.0):
+def _s_scale(alpha, s):
+    """|s|**(1/alpha); DomainError where it overflows a float."""
+    try:
+        return abs(complex(s)) ** (1.0 / alpha)
+    except OverflowError:
+        raise DomainError("|s|**(1/alpha) overflows a float") from None
+
+
+def default_cone(alpha, s, r):
     """Cone on which the series and composition identities are safe.
 
     M = 10 * max(1, |s|**(1/alpha)) * max(1, r) keeps |s*(-1/z)**alpha| / r
     below 0.1 throughout, so every binomial argument stays well inside the
     unit disk.
     """
-    M = 10.0 * max(1.0, abs(complex(s)) ** (1.0 / alpha)) * max(1.0, r)
-    return TruncatedCone(eta=eta, M=M)
+    M = 10.0 * max(1.0, _s_scale(alpha, s)) * max(1.0, r)
+    return TruncatedCone(eta=1.0, M=M)
 
 
-def verification_cone(alpha, *scales, eta=1.0):
+def verification_cone(alpha, *scales):
     """Cone for identity checks at full double precision.
 
     M clears every |s|-scale passed in but stays as low as possible: the
@@ -152,8 +168,8 @@ def verification_cone(alpha, *scales, eta=1.0):
     grids drown a 1e-10 residual check in roundoff long before the
     identity itself degrades.
     """
-    m = 10.0 * max([1.0] + [abs(complex(s)) ** (1.0 / alpha) for s in scales])
-    return TruncatedCone(eta=eta, M=m)
+    m = 10.0 * max([1.0] + [_s_scale(alpha, s) for s in scales])
+    return TruncatedCone(eta=1.0, M=m)
 
 
 def _stage1(alpha, s, z):
@@ -173,7 +189,7 @@ def _core(alpha, s, r, z, track=False):
     is invalid) come back masked with ok=False and value NaN.  Vectorized
     over z.  With track=True, z is a grid whose rows descend a path and the
     arguments of both power bases are continued down its columns instead
-    of being cut (see _phi_tracked_block).
+    of being cut (see _tracked_columns).
     """
     z = np.asarray(z, dtype=complex)
     if r == 1.0 and not track:
@@ -276,9 +292,11 @@ def _path(y_top, ys_desc):
     return path, knots[1:]
 
 
-def _phi_tracked_block(alpha, s, r, xs, ys_desc):
+def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     """phi on the grid xs[j] + 1j*ys_desc[i] by analytic continuation of
-    the inverse map down each vertical line.
+    the inverse map down each vertical line, handed over a block of
+    columns at a time as keep(cols, phi, ok), so that no caller has to
+    hold what it does not read.
 
     The single-valued composition is the inverse only high up on the
     truncated cone; descending toward the real axis its two non-integer
@@ -288,11 +306,12 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     ys_desc in steps of at most 1/24 decade (coarser steps let columns
     switch sheet), staying on the sheet that continues the cone values.
     ys_desc must be finite, positive and strictly decreasing, and the
-    path's start finite.  Returns (phi, ok) with rows matching ys_desc; a
-    column is masked below any point where the continuation degenerates
-    (zero or infinity in an intermediate).  Blocks of columns run on
-    _thread_count() threads when there are two or more; the result does
-    not depend on the thread count or the block size.
+    path's start finite.  phi and ok have rows matching ys_desc; a column
+    is masked below any point where the continuation degenerates (zero or
+    infinity in an intermediate).  Blocks of columns run on
+    _thread_count() threads when there are two or more, and keep must
+    write only the columns it is given; the values do not depend on the
+    thread count or the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys_desc = np.asarray(ys_desc, dtype=float).ravel()
@@ -311,11 +330,8 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
     if not np.isfinite(y_top):
         raise DomainError("the path start overflows: |s|, |x| or y too large")
     path, rows = _path(y_top, ys_desc)
-    phi = np.empty((ys_desc.size, xs.size), dtype=complex)
-    ok = np.empty(phi.shape, dtype=bool)
     # columns are continued independently: blocks of them keep the dense
-    # path's memory bounded, each block writes only its own columns, and
-    # only the ys_desc rows are kept
+    # path's memory bounded, and only the ys_desc rows are handed on
     width = max(1, _TRACK_BLOCK_POINTS // path.size)
     starts = range(0, xs.size, width)
 
@@ -323,22 +339,33 @@ def _phi_tracked_block(alpha, s, r, xs, ys_desc):
         Z = xs[None, j:j + width] + 1j * path[:, None]
         with np.errstate(all="ignore"):
             f_inv, ok_b = _F_masked(alpha, sp, rp, Z, track=True)
-        phi[:, j:j + width] = f_inv[rows] - Z[rows]
-        ok[:, j:j + width] = ok_b[rows]
+        keep(slice(j, j + width), f_inv[rows] - Z[rows], ok_b[rows])
 
     nthreads = _thread_count() if len(starts) > 1 else 1
     if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(run, starts))  # re-raises a worker's exception
+        blocks = [_pool(nthreads).submit(run, j) for j in starts]
+        wait(blocks)  # no block still runs when one's exception is raised
+        for b in blocks:
+            b.result()
     else:
         for j in starts:
             run(j)
+
+
+def _phi_tracked_block(alpha, s, r, xs, ys_desc):
+    """(phi, ok) of _tracked_columns, gathered whole."""
+    phi = np.empty((np.size(ys_desc), np.size(xs)), dtype=complex)
+    ok = np.empty(phi.shape, dtype=bool)
+
+    def keep(cols, phi_b, ok_b):
+        phi[:, cols], ok[:, cols] = phi_b, ok_b
+    _tracked_columns(alpha, s, r, xs, ys_desc, keep)
     return phi, ok
 
 
 def phi_boundary(params, x, ys_desc):
     """phi at x + i*y down a decreasing ladder ys_desc, evaluated on the
-    analytic-continuation sheet (see _phi_tracked_block).  Rows follow
+    analytic-continuation sheet (see _tracked_columns).  Rows follow
     ys_desc; an array x gives one column per point."""
     phi, ok = _phi_tracked_block(params.alpha, params.s, params.r,
                                  np.asarray(x, dtype=float), ys_desc)
@@ -350,28 +377,23 @@ def phi_boundary(params, x, ys_desc):
 def series_coefficients(params, N):
     """Coefficients c_0..c_N of z*G as a series in t = (-1/z)**alpha.
 
-    Formal composition of the outer binomial (1+u)**(1/alpha) with the inner
-    series u(t) = r * sum_{n>=1} C(1/r, n+1) (-s)**n t**n; c_0 = 1 always.
+    z*G = g**p with p = 1/alpha and g(t) = 1 + r * sum_{n>=1} C(1/r, n+1)
+    (-s)**n t**n, by J.C.P. Miller's power recurrence; c_0 = 1 always.
     """
     if N < 0:
         raise DomainError("N must be >= 0")
     alpha, s, r = params.alpha, params.s, params.r
-    b = np.zeros(N + 1, dtype=complex)
+    g = np.zeros(N + 1, dtype=complex)
+    g[0] = 1.0
     for n in range(1, N + 1):
-        b[n] = r * binom_coeff(1.0 / r, n + 1) * (-s) ** n
+        g[n] = r * binom_coeff(1.0 / r, n + 1) * (-s) ** n
+    p = 1.0 / alpha
     c = np.zeros(N + 1, dtype=complex)
     c[0] = 1.0
-    upow = np.zeros(N + 1, dtype=complex)
-    upow[0] = 1.0
-    for k in range(1, N + 1):
-        # upow <- truncated convolution upow * u; u has no constant term
-        new = np.zeros(N + 1, dtype=complex)
-        for i in range(N + 1 - 1):
-            if upow[i] != 0.0:
-                tail = N - i
-                new[i + 1:] += upow[i] * b[1:tail + 1]
-        upow = new
-        c += binom_coeff(1.0 / alpha, k) * upow
+    for n in range(1, N + 1):
+        # n c_n = sum_{k=1..n} ((p+1)k - n) g_k c_{n-k}, as g_0 = 1
+        k = np.arange(1, n + 1)
+        c[n] = np.sum(((p + 1.0) * k - n) * g[1:n + 1] * c[n - 1::-1]) / n
     return c
 
 

@@ -15,15 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .branches import _branch_log, _scalar, _unmasked
-from .errors import DomainError, FreeconvError
+from .errors import ConvergenceError, DomainError, FreeconvError
 from .family import (_F_masked, _admissible_s, _phi_tracked_block,
-                     _stage1, _upper, _worst, phi_boundary)
+                     _s_scale, _stage1, _tracked_columns, _upper, _worst,
+                     phi_boundary)
 # perfbench records the pool size it ran with as fid._thread_count()
 from .family import _thread_count  # noqa: F401
-from .stieltjes import (DensityTable, _atom_limit, _grid, _inversion,
-                        _ladder, _richardson)
+from .stieltjes import (NEG_DENSITY_TOL, DensityTable, _atom_limit, _grid,
+                        _inversion, _ladder, _richardson)
 
 _GAUSS_N = 200
+LEVY_X_MIN = 1e-12  # nearer 0, Levy points are refused or dropped
 
 
 @dataclass
@@ -76,7 +78,7 @@ class LevyTriplet:
 def default_fid_rect(params):
     """Scan rectangle scaled to the law: the interesting boundary behavior
     lives within a few multiples of |s|**(1/alpha) of the origin."""
-    L = max(1.0, abs(complex(params.s)) ** (1.0 / params.alpha))
+    L = max(1.0, _s_scale(params.alpha, params.s))
     return (-5.0 * L, 5.0 * L, 1e-6 * L, 5.0 * L)
 
 
@@ -117,10 +119,15 @@ def check_fid_grid(params, rect=None, nx=400, ny=200, tol=1e-9):
         raise DomainError("the scan grid needs nx >= 2 and ny >= 2")
     xs = np.linspace(xmin, xmax, nx)
     ys = np.geomspace(ymin, ymax, ny)
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, xs,
-                                 ys[::-1])
+    # rows top down, as the continuation walks them; only the masks are kept
+    ok = np.empty((ny, nx), dtype=bool)
+    viol = np.empty_like(ok)
+
+    def keep(cols, phi, ok_b):
+        ok[:, cols] = ok_b
+        viol[:, cols] = ok_b & (phi.imag > tol)
+    _tracked_columns(params.alpha, params.s, params.r, xs, ys[::-1], keep)
     n_failures = int(ok.size - np.count_nonzero(ok))
-    viol = ok & (phi.imag > tol)
     witness = None
     wit_val = None
     if np.any(viol):
@@ -181,14 +188,14 @@ def e_function(alpha, s, r, z):
     return _scalar((1.0 - np.exp(r * lw)) / s)
 
 
-def find_E_zero(alpha, s, r, residual_tol=1e-10):
+def find_E_zero(alpha, s, r):
     """A zero of e_function in the upper half-plane, or None.
 
     Zeros solve 1 - (s/r)(-1/z)**alpha = exp(2 pi i k / r) for integer k
     with 0 < |k| < r/2 (both signs; only then is the principal r-th power
     exactly 1).  For each k, (-1/z)**alpha = c_k is solved across branch
     offsets, keeping solutions whose argument lands in (0, pi); each
-    candidate is accepted only if |E| < residual_tol there.
+    candidate is accepted only if |E| < 1e-10 there.
     """
     s = complex(s)
     if r <= 1.0 or s == 0:
@@ -210,7 +217,7 @@ def find_E_zero(alpha, s, r, residual_tol=1e-10):
                     res = abs(e_function(alpha, s, r, z0))
                 except FreeconvError:
                     continue
-                if res < residual_tol:
+                if res < 1e-10:
                     return complex(z0)
     return None
 
@@ -285,14 +292,14 @@ def levy_beta_closed(r, x):
 
 
 def levy_density_numeric(params, x, y0=None, levels=8):
-    """Levy density at x != 0 from boundary values of phi: the length-1
-    form of levy_table, which also refuses divergent ladders.
+    """Levy density at |x| >= LEVY_X_MIN from boundary values of phi: the
+    length-1 form of levy_table, which also refuses divergent ladders.
 
     The extrapolated limit f(x) of -(1/pi) Im phi(x+iy) is the density of
     (1+x**2) tau(dx); the Levy density is f(x)/x**2.
     """
     x = float(x)
-    if x == 0.0:
+    if abs(x) < LEVY_X_MIN:
         raise DomainError("x = 0 is excluded")
     xs = np.asarray([x])
     f, _err, _ = _inversion(lambda ys: phi_boundary(params, xs, ys), xs, y0,
@@ -302,14 +309,21 @@ def levy_density_numeric(params, x, y0=None, levels=8):
 
 def levy_table(params, xs, y0=None, levels=8):
     """DensityTable of the Levy density over a strictly increasing grid
-    avoiding 0."""
+    with |x| >= LEVY_X_MIN; a value below -NEG_DENSITY_TOL raises,
+    naming its point and theory_verdict."""
     xs = _grid(xs)
-    if np.any(np.abs(xs) < 1e-12):
+    if np.any(np.abs(xs) < LEVY_X_MIN):
         raise DomainError("grid must avoid x = 0")
     f, err, ladder = _inversion(lambda ys: phi_boundary(params, xs, ys), xs,
                                 y0, levels)
-    return DensityTable(xs=xs, values=f / xs ** 2,
-                        errs=err / xs ** 2, y_ladder=ladder)
+    values = f / xs ** 2
+    if np.any(values < -NEG_DENSITY_TOL):
+        k = np.nanargmin(values)
+        raise ConvergenceError(
+            f"Levy density went significantly negative, {values[k]:.6g} at "
+            f"x = {xs[k]:.6g}; theory verdict: {theory_verdict(params)}")
+    return DensityTable(xs=xs, values=values, errs=err / xs ** 2,
+                        y_ladder=ladder)
 
 
 @functools.cache
@@ -363,12 +377,12 @@ def levy_triplet(params, xmin, xmax, n, y0=None, levels=8):
     gamma = Re phi(i) + 2 * integral of x d tau, the moment taken over the
     window (principal-value sense; for heavy symmetric tails choose a
     symmetric window).  a = tau({0}).  nu is a Levy-density grid on the
-    window with the points nearest 0 dropped.
+    window with the points |x| < LEVY_X_MIN dropped.
     """
     if not xmin < xmax:
         raise DomainError("need xmin < xmax")
     xs = np.linspace(float(xmin), float(xmax), int(n))
-    xs = xs[np.abs(xs) > 1e-12]
+    xs = xs[np.abs(xs) >= LEVY_X_MIN]
     if not xs.size:
         raise DomainError("the window's grid has no point off x = 0")
     y0 = _ladder(y0, levels, (xmin, xmax))[0]
@@ -490,10 +504,9 @@ def _close_pairs(x, y, radius):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
-                     max_candidates=200):
-    """Search for z1 != z2 in pts (separation > min_sep) with
-    f(z1) = f(z2) to val_tol.
+def collision_search(f, pts, max_candidates=200):
+    """Search for z1 != z2 in pts (separation > 1e-3) with
+    f(z1) = f(z2) to 1e-12.
 
     pts must lie in the open upper half-plane, and f must act elementwise
     on complex arrays: it is called on all of pts at once and then on
@@ -508,6 +521,7 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
     max_candidates nearest pairs lie strictly inside it, so the
     candidates are those of the full-radius query.
     """
+    min_sep, val_tol = 1e-3, 1e-12
     pts = _upper(np.asarray(pts, dtype=complex).ravel())
     with np.errstate(all="ignore"):
         vals = np.asarray(f(pts), dtype=complex)
@@ -547,7 +561,7 @@ def collision_search(f, pts, min_sep=1e-3, val_tol=1e-12,
                              val_tol)
 
 
-def ui_heuristic(params, grid, min_sep=1e-3, val_tol=1e-12):
+def ui_heuristic(params, grid):
     """Collision search on the reciprocal transform and on its inverse map
     over the grid, which must lie in the open upper half-plane; None when
     nothing is confirmed, else a dict naming the map and the colliding
@@ -562,10 +576,10 @@ def ui_heuristic(params, grid, min_sep=1e-3, val_tol=1e-12):
         return _F_masked(params.alpha, params.s / params.r, 1.0 / params.r,
                          z)[0]
 
-    hit = collision_search(fwd, grid, min_sep=min_sep, val_tol=val_tol)
+    hit = collision_search(fwd, grid)
     if hit is not None:
         return {"map": "reciprocal_F", "pair": hit}
-    hit = collision_search(inv, grid, min_sep=min_sep, val_tol=val_tol)
+    hit = collision_search(inv, grid)
     if hit is not None:
         return {"map": "inverse_F", "pair": hit}
     return None

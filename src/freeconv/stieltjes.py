@@ -41,32 +41,22 @@ def _richardson(vals, police=False):
     point raises ConvergenceError: the signature of a pole (an atom) under
     the evaluation point.  Policing needs 4 samples (levels >= 3).
     """
-    # Neville's recurrence a tableau column at a time, over every rung at
-    # once: column j holds T[k][j] for k >= j, and diag[j] = T[j][j]
+    # Neville's recurrence a tableau column at a time over every rung at
+    # once, in place: column j overwrites rows k >= j with T[k][j], so row
+    # k is left holding T[k][k]; out goes by position, as the keyword
+    # costs more than the arithmetic on a short ladder
     diag = np.array(vals, dtype=complex)
     n = len(diag)
     if police and n < 4:
         raise DomainError(f"a ladder checked for divergence needs levels "
                           f">= 3, got {n - 1}")
-    if diag.ndim == 1:
-        # a column of numpy scalars: their arithmetic, the same operations
-        # as the ufuncs', costs a fraction of a ufunc call on a tiny array
-        col = list(diag)
-        for j in range(1, n):
-            fac = 2.0 ** j
-            col = [(fac * b - a) / (fac - 1.0) for a, b in zip(col, col[1:])]
-            diag[j] = col[0]
-    else:
-        # in place: column j overwrites rows k >= j, so row k is left
-        # holding T[k][k]; out is passed by position, since the keyword
-        # costs more than the arithmetic on a short ladder
-        tmp = np.empty_like(diag[1:])
-        for j in range(1, n):
-            fac = 2.0 ** j
-            t = tmp[j - 1:]
-            np.multiply(fac, diag[j:], t)
-            np.subtract(t, diag[j - 1:-1], t)
-            np.divide(t, fac - 1.0, diag[j:])
+    tmp = np.empty_like(diag[1:])
+    for j in range(1, n):
+        fac = 2.0 ** j
+        t = tmp[j - 1:]
+        np.multiply(fac, diag[j:], t)
+        np.subtract(t, diag[j - 1:-1], t)
+        np.divide(t, fac - 1.0, diag[j:])
     # only the last three diagonal increments are ever read
     last = diag[-4:]
     incs = np.abs(last[1:] - last[:-1])
@@ -392,12 +382,13 @@ def example_density_halfstable(x):
     return _scalar(out)
 
 
-def tail_density_series(s, r, x, n_max=80):
+def tail_density_series(s, r, x):
     """Tail of the alpha = 1 family density for |x| > |s|.
 
     -(r/pi) * sum_{n>=1} C(1/r, n+1) R**n sin(n*theta) / x**(n+1) with
     s = R e^{i theta}; converges geometrically with ratio |s|/|x|, so the
-    sum is cut once the terms' envelope drops below 1e-18.
+    sum is cut once the terms' envelope drops below 1e-18, or after 80
+    terms.
     """
     s = complex(s)
     R = abs(s)
@@ -406,7 +397,7 @@ def tail_density_series(s, r, x, n_max=80):
     if abs(x) <= R:
         raise DomainError("tail series needs |x| > |s|")
     acc = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, 81):
         envelope = binom_coeff(1.0 / r, n + 1) * R ** n / abs(x) ** (n + 1)
         acc += envelope * np.sin(n * theta) * np.sign(x) ** (n + 1)
         # the sine can vanish incidentally, so cut on the sine-free envelope

@@ -260,11 +260,21 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
                  ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=-1",
                   "--xmax", "1", "--n", "5", "--y0", "1e308"),
                  ("levy", "--alpha", "0.5", "--s=-1e300", "--r", "2",
-                  "--xmin=-1", "--xmax", "1", "--n", "3")):
+                  "--xmin=-1", "--xmax", "1", "--n", "3"),
+                 ("fid", "--alpha", "0.5", "--s=-1e300", "--r", "2",
+                  "--nx", "4", "--ny", "4"),
+                 ("fid", "--alpha", "0.5", "--s=-1e200", "--r", "2",
+                  "--nx", "4", "--ny", "4")):
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, argv
+    # a negative Levy density on a law that is not fid names the verdict
+    code, out, err = run(capsys, "levy", "--alpha", "1.7", "--s=1", "--r",
+                         "4", "--xmin=-3", "--xmax", "3", "--n", "400")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Levy density went significantly negative")
+    assert err.endswith("theory verdict: not-fid\n") and err.count("\n") == 1
     # an output file that cannot be written is an error line, not a trace
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, "verify", "--suite", "inversion", "--out",

@@ -8,7 +8,9 @@ from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       series_coefficients, series_G, verification_cone,
                       verify_composition, verify_self_similarity,
                       voiculescu_phi)
+from freeconv.branches import binom_coeff
 from freeconv.family import _path, phi_boundary
+from freeconv.fid import default_fid_rect
 from freeconv.stable_poisson import StableParams, stable_G
 
 
@@ -174,6 +176,50 @@ def test_series_coefficients():
     assert all(c == 0 for c in cs1[1:])
 
 
+def _series_by_composition(params, N):
+    """series_coefficients as the composition of (1+u)**(1/alpha) with
+    u(t) = r * sum_{n>=1} C(1/r, n+1) (-s)**n t**n, power by power of u:
+    the reference for its recurrence."""
+    alpha, s, r = params.alpha, params.s, params.r
+    b = np.zeros(N + 1, dtype=complex)
+    for n in range(1, N + 1):
+        b[n] = r * binom_coeff(1.0 / r, n + 1) * (-s) ** n
+    c = np.zeros(N + 1, dtype=complex)
+    c[0] = 1.0
+    upow = np.zeros(N + 1, dtype=complex)
+    upow[0] = 1.0
+    for k in range(1, N + 1):
+        new = np.zeros(N + 1, dtype=complex)
+        for i in range(N):
+            if upow[i] != 0.0:
+                new[i + 1:] += upow[i] * b[1:N - i + 1]
+        upow = new
+        c += binom_coeff(1.0 / alpha, k) * upow
+    return c
+
+
+def test_series_coefficients_closed_form_on_the_alpha_1_line():
+    # G = (r/c)(1 - (1 - c/z)**(1/r)) for (1, -c, r), so
+    # c_n = r C(1/r, n+1) c**n
+    for r in (1.5, 2.0, 3.0):
+        binom = np.cumprod([(1.0 / r - k) / (k + 1) for k in range(41)])
+        for c in (0.5, 2.0):
+            got = series_coefficients(FamilyParams(1.0, -c, r), 40)
+            want = r * binom * c ** np.arange(41.0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_series_coefficients_match_the_composition():
+    for alpha, s, r in ((1.0, -1.0, 1.5), (1.0, 3j, 3.0), (2.0, 1.0, 2.0),
+                        (0.5, -1.0, 1.5), (1.7, 1.0, 4.0), (0.8, 1j, 2.5),
+                        (1.5, np.exp(0.3j), 1.7), (0.5, -1.0, 1.0)):
+        p = FamilyParams(alpha, s, r)
+        got = series_coefficients(p, 60)
+        want = _series_by_composition(p, 60)
+        assert np.array_equal(got == 0, want == 0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
 def test_series_G_agrees_with_direct():
     for alpha, s, r in ((1.0, -1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 3j, 3.0),
                         (0.5, -1.0, 1.5)):
@@ -191,6 +237,16 @@ def test_series_G_agreement_on_cone():
         grid = default_cone(alpha, s, r).sample(100)
         res = np.abs(np.asarray(series_G(p, grid, 40)) - cauchy_G(p, grid))
         assert np.max(res) < 1e-10
+
+
+def test_cones_refuse_an_overflowing_scale():
+    # |s|**(1/alpha) = 1e600 is no float: the cones and the default fid
+    # rectangle raise a DomainError naming it, not an OverflowError
+    for make in (lambda: default_cone(0.5, -1e300, 2.0),
+                 lambda: verification_cone(0.5, -1.0, -1e300),
+                 lambda: default_fid_rect(FamilyParams(0.5, -1e300, 2.0))):
+        with pytest.raises(DomainError, match=r"\|s\|\*\*\(1/alpha\)"):
+            make()
 
 
 def test_cone_membership_and_sampling():

@@ -1,13 +1,14 @@
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from freeconv import family, fid
-from freeconv import (AdmissibilityError, DomainError, FamilyParams,
-                      StableParams, cauchy_G, check_fid_grid,
+from freeconv import (AdmissibilityError, ConvergenceError, DomainError,
+                      FamilyParams, StableParams, cauchy_G, check_fid_grid,
                       collision_search, e_function, find_E_zero,
                       im_phi_cubic_pi2, is_admissible, levy_beta_closed,
                       levy_cubic_closed, levy_density_numeric, levy_table,
@@ -109,6 +110,35 @@ def test_levy_table_matches_pointwise(monkeypatch):
         levy_triplet(cubic, 0.0, 1.0, 1)  # the only grid point is x = 0
 
 
+def test_levy_functions_share_one_x_zero_rule():
+    # |x| < LEVY_X_MIN is refused by the point value and the table and
+    # dropped from a triplet's window
+    cubic = FamilyParams(1.0, 3j, 3.0)
+    tiny = 0.1 * fid.LEVY_X_MIN
+    for x in (tiny, -tiny, 0.0):
+        with pytest.raises(DomainError):
+            levy_density_numeric(cubic, x)
+        with pytest.raises(DomainError):
+            levy_table(cubic, [x, 1.0])
+    assert levy_triplet(cubic, tiny, 1.0, 2).nu.xs.tolist() == [1.0]
+    assert levy_triplet(cubic, -1.0, -tiny, 2).nu.xs.tolist() == [-1.0]
+
+
+def test_negative_levy_density_names_the_point_and_the_verdict():
+    # E of (1.7, 1, 4) has a zero at -0.323+0.161i, so the law is not
+    # fid and its boundary density may go negative: the error gives the
+    # most negative grid point and the verdict
+    p = FamilyParams(1.7, 1.0, 4.0)
+    xs = np.linspace(-3.0, 3.0, 400)
+    with pytest.raises(ConvergenceError) as err:
+        levy_table(p, xs)
+    k = int(np.argmin(np.abs(xs + 0.293233)))
+    assert str(err.value).endswith(
+        f" at x = {xs[k]:.6g}; theory verdict: not-fid")
+    assert str(err.value).startswith("Levy density went significantly "
+                                     "negative, -")
+
+
 def test_levy_table_blocks_are_exact(monkeypatch):
     # columns are continued independently, so neither the block size nor
     # the number of threads can change a single bit of the result
@@ -158,6 +188,42 @@ def test_levy_table_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("member", [(1.0, -1.0, 2.0), (1.0, -3.0, 3.0)])
+def test_fid_scan_keeps_masks_not_phi(member, monkeypatch):
+    # at 1600x800 the complex phi grid alone is 20.5 MB (24 MB traced peak
+    # when the scan kept it); the scan keeps two boolean masks (2.6 MB)
+    # and one block of columns per thread, about 3 MB each
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    tracemalloc.start()
+    try:
+        rep = check_fid_grid(FamilyParams(*member), nx=1600, ny=800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.verdict == ("violation-found" if member[2] == 3.0
+                           else "no-violation-on-grid")
+    assert peak < 8 * 2 ** 20
+
+
+def test_pool_is_kept_across_calls(monkeypatch):
+    # a pool per call would start new threads, each free to take a new
+    # malloc arena; the kept pool runs every call on the same workers
+    seen = set()
+    masked = family._F_masked
+
+    def spy(*args, **kwargs):
+        seen.add(threading.current_thread().name)
+        return masked(*args, **kwargs)
+
+    monkeypatch.setattr(family, "_thread_count", lambda: 2)
+    monkeypatch.setattr(family, "_F_masked", spy)
+    grid = (np.linspace(-4.0, 4.0, 400), np.geomspace(4.0, 1e-6, 60))
+    for _ in range(4):
+        family._phi_tracked_block(1.0, -1.0, 2.0, *grid)
+    assert threading.current_thread().name not in seen
+    assert 1 <= len(seen) <= 2
 
 
 def test_find_E_zero():
