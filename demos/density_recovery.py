@@ -3,9 +3,10 @@ Recovering densities by Stieltjes inversion
 ===========================================
 
 The density of a measure is the boundary limit of -(1/pi) Im G(x+iy) as
-y drops to zero.  Richardson extrapolation down a halving ladder of
-heights turns that limit into table values with error estimates; closed
-forms for the beta members make the sup-error visible.
+y drops to zero.  A read at two heights next to the axis, 2y and y,
+combined by one linear step, turns that limit into table values with
+error estimates; closed forms for the beta members make the sup-error
+visible.
 """
 
 import numpy as np
@@ -55,4 +56,4 @@ got = tail_density_series(1j, 2.0, 12.0)
 truth, _ = density_from_G(
     lambda z: cauchy_G(FamilyParams(1.0, 1j, 2.0), z), 12.0)
 print(f"  series {got:.15e}")
-print(f"  ladder {truth:.15e}")
+print(f"  read   {truth:.15e}")

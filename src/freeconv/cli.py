@@ -92,14 +92,13 @@ def _int_between(lo, hi):
 
 
 # size caps, so that no argument asks for more memory than a workstation
-# has: a density table takes about 0.1 kB per point and ladder rung (1 GB at
-# the cap with the default 8 levels), a Levy table's continuation runs in
-# blocks of 2**15 path points (about 40 MB peak RSS at the cap), a fid
-# scan about 80 B per grid point (0.4 GB at the caps); rungs below
-# y0 * 2**-60 add nothing at double precision
+# has: a density table takes about 0.15 kB per point and read height, of
+# which there are two (0.3 GB at the cap), a Levy table's continuation
+# runs in blocks of 2**15 path points (about 40 MB peak RSS at the cap), a
+# fid scan keeps two boolean masks, about 2 B per grid point (49 MB at the
+# caps)
 _MAX_DENSITY_N, _MAX_LEVY_N = 1_000_000, 10_000
 _MAX_NX, _MAX_NY = 3200, 1600
-_MAX_LEVELS = 60
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +187,7 @@ def cmd_density(args):
     if measure == "family":
         params = _family(args)
         table = build_density_table(lambda z: cauchy_G(params, z), xs,
-                                    y0=args.y0, levels=args.levels)
+                                    y0=args.y0)
     else:
         if measure == "stable":
             vals = stable_density(StableParams(args.alpha, s), xs)
@@ -212,7 +211,7 @@ def cmd_density(args):
                              errs=np.zeros_like(xs),
                              y_ladder=np.empty(0))
     cfg = _run_config(args, ["measure", "alpha", "r", "xmin", "xmax", "n",
-                             "y0", "levels", "format"])
+                             "y0", "format"])
     cfg["s"] = None if s is None else _complex_str(s)
     _emit_table(table, cfg, args)
     return 0
@@ -220,10 +219,9 @@ def cmd_density(args):
 
 def cmd_levy(args):
     params = _family(args)
-    trip = levy_triplet(params, args.xmin, args.xmax, args.n,
-                        y0=args.y0, levels=args.levels)
+    trip = levy_triplet(params, args.xmin, args.xmax, args.n, y0=args.y0)
     cfg = _run_config(args, ["alpha", "r", "xmin", "xmax", "n", "y0",
-                             "levels", "format"])
+                             "format"])
     cfg["s"] = _complex_str(params.s)
     if args.format == "json":
         _emit_json(args, {"config": cfg, **trip.to_dict()})
@@ -378,7 +376,7 @@ def _add_table_opts(p, max_n):
     p.add_argument("--xmax", type=_finite(), required=True)
     p.add_argument("--n", type=_int_between(1, max_n), default=101)
     p.add_argument("--y0", type=_finite(0.0, closed=False), default=None,
-                   help="top of the extrapolation ladder")
+                   help="upper read height (the lower one is y0/2)")
     p.add_argument("--format", default="csv",
                    choices=["csv", "json", "plotdata"])
     p.add_argument("--out", default="-")
@@ -398,16 +396,11 @@ def build_parser():
                    choices=["family", "stable", "mp", "beta",
                             "symmetric-beta", "cauchy-mix", "half-stable"])
     _add_table_opts(p, _MAX_DENSITY_N)
-    p.add_argument("--levels", type=_int_between(1, _MAX_LEVELS),
-                   default=8)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("levy", help="generating triplet on a window")
     _add_param_opts(p)
     _add_table_opts(p, _MAX_LEVY_N)
-    # levy_triplet reads the atom at 0 off a policed ladder (4+ rungs)
-    p.add_argument("--levels", type=_int_between(3, _MAX_LEVELS),
-                   default=8)
     p.set_defaults(func=cmd_levy)
 
     p = sub.add_parser("fid", help="scan Im phi for divisibility violations")

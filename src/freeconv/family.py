@@ -274,20 +274,28 @@ def voiculescu_phi(params, z):
     return _scalar(np.asarray(inverse_F(params, z)) - z)
 
 
-def _path(y_top, ys_desc):
+def _path(y_top, ys_desc, knee):
     """(path, rows): y_top, then ys_desc with each gap split into equal
-    steps in log y, 24 or more a decade and 48 or more in all, so that
-    path[rows] == ys_desc exactly.  Logs, not ratios, which overflow for
-    subnormal rows."""
+    steps in log y, 24 or more a decade and 48 or more in all down to the
+    knee (a knot of its own), 2 a decade below, so that path[rows] ==
+    ys_desc exactly.  Logs, not ratios, which overflow for subnormal rows."""
     ends = np.concatenate(([y_top], ys_desc))
     logs = np.log10(ends)
-    steps = np.ceil(max(24.0, 48.0 / float(logs[0] - logs[-1]))
-                    * (logs[:-1] - logs[1:]))
+    lk = float(np.log10(knee))
+    at = int(np.count_nonzero(logs > lk))  # the first end at or below it
+    inside = 0 < at < logs.size and logs[at] < lk
+    if inside:
+        logs = np.concatenate((logs[:at], [lk], logs[at:]))
+    per = np.where(logs[1:] >= lk,
+                   max(24.0, 48.0 / float(logs[0] - logs[-1])), 2.0)
+    steps = np.ceil(per * (logs[:-1] - logs[1:]))
     np.maximum(steps, 1.0, out=steps)  # rows an ulp apart can share a log
-    knots = np.zeros(ends.size)
+    knots = np.zeros(logs.size)
     np.add.accumulate(steps, out=knots[1:])
     path = 10.0 ** np.interp(np.arange(knots[-1] + 1.0), knots, logs)
     knots = knots.astype(np.intp)
+    if inside:
+        knots = np.concatenate((knots[:at], knots[at + 1:]))
     path[knots] = ends
     return path, knots[1:]
 
@@ -303,8 +311,9 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
     are lifted continuously (unwrapped) down _path, through the rows
-    ys_desc in steps of at most 1/24 decade (coarser steps let columns
-    switch sheet), staying on the sheet that continues the cone values.
+    ys_desc in steps of at most 1/24 decade down to 1e-4 of the member's
+    scale and half a decade below (coarser steps, or a knee at 1e-3, let
+    columns switch sheet), staying on the sheet of the cone values.
     ys_desc must be finite, positive and strictly decreasing, and the
     path's start finite.  phi and ok have rows matching ys_desc; a column
     is masked below any point where the continuation degenerates (zero or
@@ -329,7 +338,7 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
     if not np.isfinite(y_top):
         raise DomainError("the path start overflows: |s|, |x| or y too large")
-    path, rows = _path(y_top, ys_desc)
+    path, rows = _path(y_top, ys_desc, 1e-4 * scale)
     # columns are continued independently: blocks of them keep the dense
     # path's memory bounded, and only the ys_desc rows are handed on
     width = max(1, _TRACK_BLOCK_POINTS // path.size)

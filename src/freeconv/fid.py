@@ -21,8 +21,8 @@ from .family import (_F_masked, _admissible_s, _phi_tracked_block,
                      phi_boundary)
 # perfbench records the pool size it ran with as fid._thread_count()
 from .family import _thread_count  # noqa: F401
-from .stieltjes import (NEG_DENSITY_TOL, DensityTable, _atom_limit, _grid,
-                        _inversion, _ladder, _richardson)
+from .stieltjes import (NEG_DENSITY_TOL, DensityTable, _ROUNDING,
+                        _atom_limit, _grid, _heights, _read)
 
 _GAUSS_N = 200
 LEVY_X_MIN = 1e-12  # nearer 0, Levy points are refused or dropped
@@ -291,31 +291,38 @@ def levy_beta_closed(r, x):
     return _scalar(out)
 
 
-def levy_density_numeric(params, x, y0=None, levels=8):
-    """Levy density at |x| >= LEVY_X_MIN from boundary values of phi: the
-    length-1 form of levy_table, which also refuses divergent ladders.
+def _phi_read(params, xs, y0, police=False):
+    """(f, err, heights): -(1/pi) Im phi(x+i0) read at the points xs; err
+    adds the rounding of F^-1 = phi + z, which phi inherits."""
+    heights = _heights(y0, xs)
+    phi = phi_boundary(params, xs, heights)
+    f, err = _read(-phi.imag / np.pi, police)
+    finv = phi[1] + (xs + 1j * heights[1])
+    return f, err + _ROUNDING / np.pi * np.abs(finv), heights
 
-    The extrapolated limit f(x) of -(1/pi) Im phi(x+iy) is the density of
+
+def levy_density_numeric(params, x):
+    """Levy density at |x| >= LEVY_X_MIN from boundary values of phi: the
+    length-1 form of levy_table, which also refuses an atom under x.
+
+    The boundary value f(x) of -(1/pi) Im phi(x+iy) is the density of
     (1+x**2) tau(dx); the Levy density is f(x)/x**2.
     """
     x = float(x)
     if abs(x) < LEVY_X_MIN:
         raise DomainError("x = 0 is excluded")
-    xs = np.asarray([x])
-    f, _err, _ = _inversion(lambda ys: phi_boundary(params, xs, ys), xs, y0,
-                            levels, police=True)
+    f, _err, _ = _phi_read(params, np.asarray([x]), None, police=True)
     return float(f[0]) / x ** 2
 
 
-def levy_table(params, xs, y0=None, levels=8):
+def levy_table(params, xs, y0=None):
     """DensityTable of the Levy density over a strictly increasing grid
     with |x| >= LEVY_X_MIN; a value below -NEG_DENSITY_TOL raises,
     naming its point and theory_verdict."""
     xs = _grid(xs)
     if np.any(np.abs(xs) < LEVY_X_MIN):
         raise DomainError("grid must avoid x = 0")
-    f, err, ladder = _inversion(lambda ys: phi_boundary(params, xs, ys), xs,
-                                y0, levels)
+    f, err, heights = _phi_read(params, xs, y0)
     values = f / xs ** 2
     if np.any(values < -NEG_DENSITY_TOL):
         k = np.nanargmin(values)
@@ -323,7 +330,7 @@ def levy_table(params, xs, y0=None, levels=8):
             f"Levy density went significantly negative, {values[k]:.6g} at "
             f"x = {xs[k]:.6g}; theory verdict: {theory_verdict(params)}")
     return DensityTable(xs=xs, values=values, errs=err / xs ** 2,
-                        y_ladder=ladder)
+                        y_ladder=heights)
 
 
 @functools.cache
@@ -342,23 +349,21 @@ def _gauss_nodes(u, v):
     return mid + half * nodes, half * weights
 
 
-def tau_interval_mass(params, u, v, y0=None, levels=6):
+def tau_interval_mass(params, u, v):
     """Integral of (1 + x**2) d tau over [u, v]: the x-integral of
-    -(1/pi) Im phi(x+iy) on a fixed Gauss rule, extrapolated down the
-    y ladder."""
+    -(1/pi) Im phi(x+iy) on a fixed Gauss rule, read at the two heights."""
     if not u < v:
         raise DomainError("need u < v")
     xs, ws = _gauss_nodes(float(u), float(v))
-    phi = phi_boundary(params, xs, _ladder(y0, levels, (u, v)))
-    val, _err = _richardson(np.sum(ws * (-phi.imag / np.pi), axis=1),
-                            police=True)
-    return float(val.real)
+    phi = phi_boundary(params, xs, _heights(None, (u, v)))
+    val, _err = _read(np.sum(ws * (-phi.imag / np.pi), axis=1), police=True)
+    return float(val)
 
 
-def tau_atom(params, x, y0=None, levels=8):
+def tau_atom(params, x):
     """tau({x}) = lim iy phi(x+iy) / (1 + x**2)."""
     x = float(x)
-    return _atom_limit(lambda ys: phi_boundary(params, x, ys), x, y0, levels,
+    return _atom_limit(lambda ys: phi_boundary(params, x, ys), x,
                        1e-6) / (1.0 + x ** 2)
 
 
@@ -371,13 +376,14 @@ def tau_total_mass(params):
     return float(-_phi_at_i(params).imag)
 
 
-def levy_triplet(params, xmin, xmax, n, y0=None, levels=8):
+def levy_triplet(params, xmin, xmax, n, y0=None):
     """Generating triplet read off from phi on a window [xmin, xmax].
 
     gamma = Re phi(i) + 2 * integral of x d tau, the moment taken over the
     window (principal-value sense; for heavy symmetric tails choose a
     symmetric window).  a = tau({0}).  nu is a Levy-density grid on the
-    window with the points |x| < LEVY_X_MIN dropped.
+    window with the points |x| < LEVY_X_MIN dropped.  nu and the moment
+    are read at (y0, y0/2), by default y0 = 2e-13 max(1, |xmin|, |xmax|).
     """
     if not xmin < xmax:
         raise DomainError("need xmin < xmax")
@@ -385,14 +391,13 @@ def levy_triplet(params, xmin, xmax, n, y0=None, levels=8):
     xs = xs[np.abs(xs) >= LEVY_X_MIN]
     if not xs.size:
         raise DomainError("the window's grid has no point off x = 0")
-    y0 = _ladder(y0, levels, (xmin, xmax))[0]
-    nu = levy_table(params, xs, y0=y0, levels=levels)
+    y0 = _heights(y0, (xmin, xmax))[0]
+    nu = levy_table(params, xs, y0=y0)
     gx, gw = _gauss_nodes(float(xmin), float(xmax))
-    f, _err, _ = _inversion(lambda ys: phi_boundary(params, gx, ys), gx, y0,
-                            levels)
+    f, _err, _ = _phi_read(params, gx, y0)
     moment = float(np.sum(gw * gx * f / (1.0 + gx ** 2)))
     gamma = float(_phi_at_i(params).real) + 2.0 * moment
-    a = tau_atom(params, 0.0, y0=y0, levels=levels)
+    a = tau_atom(params, 0.0)
     return LevyTriplet(gamma=gamma, a=a, nu=nu)
 
 

@@ -1,11 +1,11 @@
 """Density recovery from Cauchy transforms.
 
-The boundary limit -(1/pi) lim_{y->0} Im G(x+iy) is taken numerically with
-a Richardson tableau on the halving ladder y_k = y0 * 2**-k.  Atoms show up
-as divergent ladders (the tableau refuses to extrapolate them) and have
-their own evaluator via lim iy*G(x+iy).  phi's boundary values (the Levy
-data in fid) go through the same two helpers.  The module also carries the
-closed-form densities used as oracles elsewhere.
+The boundary value f of -(1/pi) Im G(x+iy) is read at two heights 2y and
+y = 1e-13 * max(1, |x|) as 2 f(y) - f(2y); err is |f(y) - f(2y)| plus
+the samples' rounding.  An atom doubles f from 2y to y (the pointwise
+reads refuse it) and has its own evaluator, lim iy*G(x+iy).  phi's
+boundary values (the Levy data in fid) share these helpers.  The module
+also carries the closed-form densities used as oracles elsewhere.
 """
 
 import functools
@@ -17,105 +17,77 @@ import numpy as np
 from .branches import _scalar, binom_coeff
 from .errors import ConvergenceError, DomainError, QuadratureError
 
-# table values this far below zero are clamped (with a warning); anything
-# more negative means a branch bug upstream and is a hard error
+# table values this far below zero are clamped (with a warning below
+# -err); anything more negative means a branch bug upstream: an error
 NEG_DENSITY_TOL = 1e-9
 
+# a sample's rounding in err: 3x the kernel's worst near the axis, 2e-15
+_ROUNDING = 32 * np.finfo(float).eps
 
-def _ladder(y0, levels, xs):
-    """The halving ladder y0 * 2**-k, k = 0..levels; y0 defaults to
-    1e-2 * max(1, |x|) over the points xs."""
-    if levels < 1:
-        raise DomainError(f"levels must be >= 1, got {levels}")
+
+def _heights(y0, xs):
+    """(2y, y), y = 1e-13 * max(1, |x|) over the points xs or y0 / 2."""
     if y0 is None:
-        y0 = 1e-2 * max(1.0, float(np.max(np.abs(xs))))
-    return y0 * 0.5 ** np.arange(levels + 1)
+        y0 = 2e-13 * max(1.0, float(np.max(np.abs(xs))))
+    return np.array([y0, 0.5 * y0])
 
 
-def _richardson(vals, police=False):
-    """Extrapolate samples g(y0 * 2**-k), k = 0..n-1 along axis 0, toward
-    y -> 0.
-
-    Returns (limit, err) with err the last diagonal increment, per point.
-    With police, a ladder whose diagonal increments keep growing at any
-    point raises ConvergenceError: the signature of a pole (an atom) under
-    the evaluation point.  Policing needs 4 samples (levels >= 3).
-    """
-    # Neville's recurrence a tableau column at a time over every rung at
-    # once, in place: column j overwrites rows k >= j with T[k][j], so row
-    # k is left holding T[k][k]; out goes by position, as the keyword
-    # costs more than the arithmetic on a short ladder
-    diag = np.array(vals, dtype=complex)
-    n = len(diag)
-    if police and n < 4:
-        raise DomainError(f"a ladder checked for divergence needs levels "
-                          f">= 3, got {n - 1}")
-    tmp = np.empty_like(diag[1:])
-    for j in range(1, n):
-        fac = 2.0 ** j
-        t = tmp[j - 1:]
-        np.multiply(fac, diag[j:], t)
-        np.subtract(t, diag[j - 1:-1], t)
-        np.divide(t, fac - 1.0, diag[j:])
-    # only the last three diagonal increments are ever read
-    last = diag[-4:]
-    incs = np.abs(last[1:] - last[:-1])
-    if police:
-        # the scale (>= 1) is taken only where an increment above 1e-11
-        # keeps growing, which a converged ladder seldom has
-        grow = ((incs[-1] > 1e-11) & (incs[-1] >= incs[-2])
-                & (incs[-2] >= incs[-3]))
-        if grow.any() and np.any(grow & (incs[-1] > 1e-11 * np.maximum(
-                1.0, np.max(np.abs(vals), axis=0)))):
-            raise ConvergenceError("boundary extrapolation is diverging "
-                                   "(atom or pole under the evaluation "
-                                   "point?)")
-    return diag[-1], incs[-1]
+def _read(rows, police=False):
+    """(2 f(y) - f(2y), |f(y) - f(2y)|) from the rows f(2y), f(y): the
+    linear step removes the O(y) bias.  With police, a positive f that
+    grows 1.9-fold or more (by over 1e-11 max(1, |f|)) raises: an atom,
+    f ~ 1/y; an integrable |x - a|**-p, p < 1, grows only 2**p-fold."""
+    f2, f1 = rows
+    err = np.abs(f1 - f2)
+    if police and np.any((f2 > 0.0) & (f1 >= 1.9 * f2)
+                         & (err > 1e-11 * np.maximum(1.0, np.abs(f1)))):
+        raise ConvergenceError("the boundary value doubles from 2y to y "
+                               "(atom or pole under the evaluation point?)")
+    return 2.0 * f1 - f2, err
 
 
-def _inversion(samples, xs, y0, levels, police=False):
-    """(density, err, ladder): -(1/pi) lim Im g(x+iy) at the points xs,
-    with samples(ys) = g on the whole ladder grid, one row per rung:
-    G(xs + 1j*ys[:, None]) for G, phi_boundary(params, xs, ys) for phi."""
-    ladder = _ladder(y0, levels, xs)
-    vals = -np.imag(samples(ladder)) / np.pi
-    dens, err = _richardson(vals, police)
-    return dens.real, err, ladder
+def _inversion(G, xs, y0, police=False):
+    """(density, err, heights): -(1/pi) Im G(x+i0) at the points xs, read
+    at two heights with one call of G; err adds G's own rounding."""
+    heights = _heights(y0, xs)
+    g = G(xs + 1j * heights[:, None])
+    dens, err = _read(-np.imag(g) / np.pi, police)
+    return dens, err + _ROUNDING / np.pi * np.abs(g[1]), heights
 
 
-def _atom_limit(samples, x, y0, levels, tol):
-    """lim iy*g(x+iy) down the ladder at the point x, with samples(ys) =
-    g(x + 1j*ys); its imaginary part must vanish to tol (relative)."""
-    ys = _ladder(y0, levels, x)
-    val, _err = _richardson(1j * ys * samples(ys), police=True)
+def _atom_limit(samples, x, tol):
+    """lim iy*g(x+iy) by the same step at y = 1e-6 max(1, |x|), which
+    trades the kernel's eps/y loss near a pole against the step's O(y**2)
+    bias; samples(ys) = g(x + 1j*ys); an Im above tol (relative) raises."""
+    ys = np.array([2e-6, 1e-6]) * max(1.0, abs(x))
+    val, _err = _read(1j * ys * samples(ys))
     if abs(val.imag) > tol * (1.0 + abs(val.real)):
         raise ConvergenceError("the atom limit lim iy*g(x+iy) kept an "
                                "imaginary part")
     return float(val.real)
 
 
-def density_from_G(G, x, y0=None, levels=8):
-    """(density, err) at real x by extrapolating -(1/pi) Im G(x+iy); the
-    length-1 form of build_density_table, which also refuses divergent
-    ladders (an atom under x)."""
-    xs = np.asarray([float(x)])
-    dens, err, _ = _inversion(lambda ys: G(xs + 1j * ys[:, None]), xs, y0,
-                              levels, police=True)
+def density_from_G(G, x):
+    """(density, err) at real x from -(1/pi) Im G(x+iy); the length-1
+    form of build_density_table, which also refuses an atom under x."""
+    dens, err, _ = _inversion(G, np.asarray([float(x)]), None, police=True)
     return float(dens[0]), float(err[0])
 
 
-def atom_mass(G, x, y0=None, levels=8):
+def atom_mass(G, x):
     """mu({x}) = lim iy*G(x+iy); the imaginary part must vanish."""
     x = float(x)
-    return _atom_limit(lambda ys: G(x + 1j * ys), x, y0, levels, 1e-7)
+    return _atom_limit(lambda ys: G(x + 1j * ys), x, 1e-7)
 
 
 @dataclass
 class DensityTable:
-    """Grid of (x, density, err) plus the extrapolation ladder used.
+    """Grid of (x, density, err) plus the two read heights (2y, y), kept
+    under the JSON key y_ladder.
 
-    Values within NEG_DENSITY_TOL below zero are clamped to zero with a
-    warning; anything more negative raises (branch bug upstream).
+    Negative values are clamped to zero: silently within their own err,
+    with a warning below -err; anything below -NEG_DENSITY_TOL raises
+    (branch bug upstream).
     """
 
     xs: np.ndarray
@@ -132,11 +104,11 @@ class DensityTable:
         if np.any(values < -NEG_DENSITY_TOL):
             raise ConvergenceError("density went significantly negative; "
                                    "branch error upstream")
-        neg = values < 0.0
-        if np.any(neg):
-            warnings.warn(f"clamped {int(neg.sum())} slightly negative "
-                          "density values to 0")
-            values = np.where(neg, 0.0, values)
+        loud = int(np.count_nonzero(values < -errs))
+        if loud:
+            warnings.warn(f"clamped {loud} slightly negative density values "
+                          "to 0")
+        values = np.where(values < 0.0, 0.0, values)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "errs", errs)
@@ -171,16 +143,16 @@ def _grid(xs):
     return xs
 
 
-def build_density_table(G, xs, y0=None, levels=8):
-    """DensityTable by Stieltjes inversion of G on the grid xs.
+def build_density_table(G, xs, y0=None):
+    """DensityTable by Stieltjes inversion of G on the grid xs, read at
+    the heights (y0, y0/2), y0 = 2e-13 * max(1, max|x|) by default.
 
     G must accept complex arrays (all transforms in this package do); it
-    is called once, on the grid of every x and every ladder rung.
+    is called once, on the grid of every x at both heights.
     """
     xs = _grid(xs)
-    dens, err, ladder = _inversion(lambda ys: G(xs + 1j * ys[:, None]), xs,
-                                   y0, levels)
-    return DensityTable(xs=xs, values=dens, errs=err, y_ladder=ladder)
+    dens, err, heights = _inversion(G, xs, y0)
+    return DensityTable(xs=xs, values=dens, errs=err, y_ladder=heights)
 
 
 # t ranges of the two rules: tanh-sinh nodes come within 5e-38 of an

@@ -153,19 +153,13 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         ("eval", "--transform", "G", "--alpha", "1", "--s", "-1",
          "--z", "2i"),
     ]
-    # size and level minimums: density --levels 1, levy --levels 3 (its
-    # atom at 0 is read off a policed ladder), --n 1, fid --nx/--ny 2
+    # size minimums: --n 1, fid --nx/--ny 2
     density = ("density", "--alpha", "1", "--s", "-1", "--r", "2",
                "--xmin", "0.1", "--xmax", "0.9")
     levy = ("levy", "--alpha", "1", "--s", "3i", "--r", "3", "--xmin=-2",
             "--xmax", "2")
     fid = ("fid", "--alpha", "1", "--s=-3", "--r", "3")
     cases += [
-        density + ("--levels", "0"),
-        density + ("--levels", "-1"),
-        density + ("--levels", "two"),
-        levy + ("--levels", "1"),
-        levy + ("--levels", "2"),
         density + ("--n", "-1"),
         density + ("--n", "0"),
         levy + ("--n", "-1"),
@@ -176,7 +170,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         fid + ("--ny", "1"),
         fid + ("--nx", "4.5"),
     ]
-    # rect, ladder and tolerance values: finite, --y0 > 0, --tol >= 0
+    # rect, read height and tolerance values: finite, --y0 > 0, --tol >= 0
     cases += [
         fid + ("--tol", "nan", "--nx", "40", "--ny", "20"),
         fid + ("--tol", "inf"),
@@ -210,9 +204,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
     cases += [
         density + ("--n", "100000000000000000000"),
         density + ("--n", "1000001"),
-        density + ("--levels", "61"),
         levy + ("--n", "10001"),
-        levy + ("--levels", "61"),
         fid + ("--nx", "3201"),
         fid + ("--ny", "1601"),
         fid + ("--nx", "100000000000000000000"),
@@ -224,8 +216,8 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         assert err.count("\n") == 1, argv
     # the caps themselves are accepted (parsed only: nothing is built)
     parser = build_parser()
-    for argv in (density + ("--n", "1000000", "--levels", "60"),
-                 levy + ("--n", "10000", "--levels", "60"),
+    for argv in (density + ("--n", "1000000"),
+                 levy + ("--n", "10000"),
                  fid + ("--nx", "3200", "--ny", "1600")):
         parser.parse_args(list(argv))
     # the continuation's thread count from the environment: an integer
@@ -297,16 +289,36 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
 
 
 def test_warning_is_one_stderr_line(capsys):
-    # the r = 2 arcsine member's Levy table clamps rounding-level negative
-    # density values, with a UserWarning
-    argv = ["levy", "--alpha", "2", "--s", "1", "--r", "2", "--xmin=-3",
-            "--xmax", "3", "--n", "400"]
+    # the Levy density of (0.5, 2e4 e^{2 pi i/3}, 3), theory "unknown",
+    # dips to about -3e-10 on this window, far below its err (1e-20) but
+    # above -NEG_DENSITY_TOL: the table clamps it, with a UserWarning
+    argv = ["levy", "--alpha", "0.5", "--s-mod", "2e4", "--s-arg",
+            "2.0943951023931953", "--r", "3", "--xmin=-2.4e6",
+            "--xmax=-4e4", "--n", "50"]
     code, out, err = run(capsys, *argv)
     assert code == 0
     assert err.startswith("warning: clamped ") and err.count("\n") == 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert run(capsys, *argv) == (0, out, "")
+
+
+def test_power_law_edges_tabulate(capsys):
+    # the paper's beta members and the r = 2 members whose densities have
+    # a power-law edge inside the window: a clean table, no clamp warning
+    for argv in (
+            "density --alpha 1 --s=-1 --r 1.5 --xmin=-0.5 --xmax 1.5 --n 400",
+            "density --alpha 1 --s=-1 --r 1.5 --xmin=-0.5 --xmax 1.5 --n 4000",
+            "density --alpha 1 --s=-1 --r 2 --xmin=-0.5 --xmax 1.5 --n 400",
+            "density --alpha 0.5 --s=-1 --r 2 --xmin=-1 --xmax 5 --n 400",
+            "density --alpha 2 --s=1 --r 2 --xmin=-3 --xmax 3 --n 4000",
+            "density --alpha 1.5 --s=1 --r 2 --xmin=-3 --xmax 3 --n 4000",
+            "levy --alpha 1 --s=-1 --r 1.5 --xmin=-1 --xmax 3 --n 4000",
+            "levy --alpha 2 --s=1 --r 2 --xmin=-3 --xmax 3 --n 4000"):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, ""), argv
+        rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert len(rows) == int(argv.split()[-1]) + 1, argv  # header, n rows
 
 
 def test_verify_inversion_suite(capsys):

@@ -9,7 +9,7 @@ from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       verify_composition, verify_self_similarity,
                       voiculescu_phi)
 from freeconv.branches import binom_coeff
-from freeconv.family import _path, phi_boundary
+from freeconv.family import _path, _phi_tracked_block, phi_boundary
 from freeconv.fid import default_fid_rect
 from freeconv.stable_poisson import StableParams, stable_G
 
@@ -308,9 +308,10 @@ def test_phi_boundary_near_axis_alpha2():
 
 def test_path_passes_through_the_rows():
     # the continuation's path: the caller's rows exactly, no step wider
-    # than 1/24 decade, at least 48 steps; subnormal rows, whose ratio to
-    # y_top overflows, too
+    # than 1/24 decade above the knee, at least 48 steps; subnormal rows,
+    # whose ratio to y_top overflows, too
     rng = np.random.default_rng(5)
+    tiny = 5e-324  # a knee at or below every row: dense all the way
     for k in range(200):
         top = 10.0 ** rng.uniform(-2.0, 6.0)
         rows = 10.0 ** rng.uniform(-300.0, np.log10(top) - 0.31,
@@ -318,20 +319,63 @@ def test_path_passes_through_the_rows():
         if k < 4:
             rows[0] = (1e-310, 5e-324, 2.2e-308, 1e-300)[k]
         ys = np.unique(rows)[::-1]
-        path, idx = _path(top, ys)
+        path, idx = _path(top, ys, tiny)
         assert path[0] == top and np.array_equal(path[idx], ys)
         # subnormal path points may round to equal values
         assert path.size - 1 >= 48 and np.all(np.diff(path) <= 0.0)
         steps = -np.diff(np.log10(path[path > 1e-300]))
         assert np.max(steps) <= (1.0 + 1e-9) / 24.0
+        # below a knee inside the rows, half a decade a step at most
+        knee = 10.0 ** rng.uniform(-300.0, np.log10(top))
+        path, idx = _path(top, ys, knee)
+        assert path[0] == top and np.array_equal(path[idx], ys)
+        logs = np.log10(path[path > 1e-300])
+        steps = -np.diff(logs)
+        above = logs[1:] >= np.log10(knee)
+        assert np.max(steps[above], initial=0.0) <= (1.0 + 1e-9) / 24.0
+        assert np.max(steps) <= (1.0 + 1e-9) / 2.0
     # rows that are already dense get no points between them
     ys = np.geomspace(10.0, 1e-6, 200)
-    path, idx = _path(20.0, ys)
+    path, idx = _path(20.0, ys, tiny)
     assert np.array_equal(idx, np.arange(8, 208))  # 8 steps down to 10
     # rows an ulp apart share a log10 and still get a step of their own
     ys = np.array([1e300, np.nextafter(1e300, 0.0), 1e299])
-    path, idx = _path(1.5e307, ys)
+    path, idx = _path(1.5e307, ys, tiny)
     assert np.array_equal(path[idx], ys) and idx[1] == idx[0] + 1
+    # two rows far below the knee: 24 a decade down to it, 2 below
+    path, idx = _path(10.0, np.array([2e-13, 1e-13]), 1e-6)
+    assert np.array_equal(path[idx], [2e-13, 1e-13])
+    assert np.count_nonzero(path >= 1e-6) == 24 * 7 + 1
+    assert idx[0] == 24 * 7 + 14 and idx[1] == idx[0] + 1
+
+
+def test_knee_matches_dense_rows():
+    # below the knee, 1e-4 of the member's scale, the path takes 2 steps a
+    # decade; handing the continuation rows 24 a decade from the knee down
+    # makes its path dense there, and identical above: the two agree on
+    # the read heights, on members with alpha > 1, r = 2, an E zero in C+
+    # and the beta line
+    rows = np.array([2e-13, 1e-13])
+    for alpha, s, r in ((1.7, 1.0, 4.0), (1.3, np.exp(1j * np.pi / 6), 2.5),
+                        (2.0, 1.0, 2.0), (0.5, -1.0, 2.0), (1.0, -1.0, 1.5),
+                        (1.5, np.exp(0.3j), 2.5)):
+        p = FamilyParams(alpha, s, r)
+        scale = max(1.0, abs(s) ** (1.0 / alpha),
+                    abs(s / r) ** (1.0 / alpha)) * max(1.0, r, 1.0 / r)
+        knee = 1e-4 * scale
+        dense = np.concatenate([np.geomspace(
+            knee, 2e-13, int(np.ceil(24.0 * np.log10(knee / 2e-13))) + 1),
+            [1e-13]])
+        xmin, xmax, _, _ = default_fid_rect(p)
+        xs = np.linspace(xmin, xmax, 201)
+        phi, ok = _phi_tracked_block(alpha, s, r, xs, rows)
+        ref, ok_ref = _phi_tracked_block(alpha, s, r, xs, dense)
+        ref, ok_ref = ref[-2:], ok_ref[-2:]
+        assert np.array_equal(ok, ok_ref), (alpha, s, r)
+        # relative to F^-1 = phi + z, whose rounding phi inherits
+        finv = np.abs(ref + xs + 1j * rows[:, None])
+        assert np.all(np.abs(phi - ref)[ok] <= 1e-13 * finv[ok]), (alpha, s,
+                                                                   r)
 
 
 def test_phi_boundary_rejects_bad_ladder():

@@ -8,7 +8,8 @@ import pytest
 
 from freeconv import family, fid
 from freeconv import (AdmissibilityError, ConvergenceError, DomainError,
-                      FamilyParams, StableParams, cauchy_G, check_fid_grid,
+                      FamilyParams, StableParams, build_density_table,
+                      cauchy_G, check_fid_grid, closed_beta_density,
                       collision_search, e_function, find_E_zero,
                       im_phi_cubic_pi2, is_admissible, levy_beta_closed,
                       levy_cubic_closed, levy_density_numeric, levy_table,
@@ -71,11 +72,6 @@ def test_levy_numeric_matches_closed():
             levy_beta_closed(1.5, x), abs=2e-5)
     with pytest.raises(DomainError):
         levy_density_numeric(cubic, 0.0)
-    for levels in (-1, 0, 1, 2):
-        with pytest.raises(DomainError):
-            levy_density_numeric(cubic, 1.0, levels=levels)
-        with pytest.raises(DomainError):
-            tau_atom(cubic, 1.0, levels=levels)
 
 
 def test_levy_r2_is_the_scaled_stable_density():
@@ -90,6 +86,28 @@ def test_levy_r2_is_the_scaled_stable_density():
     # outside the stable support the Levy density vanishes
     beta2 = FamilyParams(1.0, -1.0, 2.0)
     assert levy_density_numeric(beta2, 0.7) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_boundary_read_across_support_edges():
+    # the beta member's density and Levy density, and the arcsine Levy
+    # density of (2, 1, 2), on windows across their power-law support
+    # edges: against the closed forms, and err covers the true error
+    beta = FamilyParams(1.0, -1.0, 1.5)
+    arcsine = FamilyParams(2.0, 1.0, 2.0)
+    tables = [
+        (build_density_table(lambda z: cauchy_G(beta, z),
+                             np.linspace(-0.5, 1.5, 4000)),
+         lambda x: closed_beta_density(1.5, x), 1e-12),
+        (levy_table(beta, np.linspace(-1.0, 3.0, 4000)),
+         lambda x: levy_beta_closed(1.5, x), 1e-12),
+        # the stable law at s/4 = 1/4: arcsine on (-1/2, 1/2)
+        (levy_table(arcsine, np.linspace(-3.0, 3.0, 4000)),
+         lambda x: np.where(x * x < 0.25, 1.0 / (np.pi * np.sqrt(
+             np.abs(0.25 - x * x))), 0.0), 1e-10)]
+    for table, closed, bound in tables:
+        true = np.abs(table.values - closed(table.xs))
+        assert np.max(true) < bound
+        assert np.all(true <= table.errs)
 
 
 def test_levy_table_matches_pointwise(monkeypatch):
