@@ -61,16 +61,16 @@ def _config_error(msg):
     raise _ConfigError(msg)
 
 
-def _finite(low=-np.inf, closed=True):
-    """argparse type: a finite float, >= low (closed) or > low."""
-    bound = "" if low == -np.inf else f" {'>=' if closed else '>'} {low:g}"
+def _finite(low=-np.inf):
+    """argparse type: a finite float >= low."""
+    bound = "" if low == -np.inf else f" >= {low:g}"
 
     def parse(text):
         try:
             val = float(text)
         except ValueError:
             val = np.nan
-        if not (np.isfinite(val) and (val >= low if closed else val > low)):
+        if not (np.isfinite(val) and val >= low):
             raise argparse.ArgumentTypeError(
                 f"expected a finite number{bound}, got {text!r}")
         return val
@@ -131,6 +131,8 @@ def _resolve_s(args):
     """--s wins; --s-mod/--s-arg build s = mod * exp(i*arg) as a pair."""
     if args.s is not None and args.s_mod is not None:
         _config_error("give either --s or --s-mod/--s-arg, not both")
+    if args.s_arg is not None and args.s_mod is None:
+        _config_error("--s-arg needs --s-mod")
     if args.s is not None:
         return args.s
     if args.s_mod is not None:
@@ -186,8 +188,7 @@ def cmd_density(args):
                              f"measure {measure!r}")
     if measure == "family":
         params = _family(args)
-        table = build_density_table(lambda z: cauchy_G(params, z), xs,
-                                    y0=args.y0)
+        table = build_density_table(lambda z: cauchy_G(params, z), xs)
     else:
         if measure == "stable":
             vals = stable_density(StableParams(args.alpha, s), xs)
@@ -211,7 +212,7 @@ def cmd_density(args):
                              errs=np.zeros_like(xs),
                              y_ladder=np.empty(0))
     cfg = _run_config(args, ["measure", "alpha", "r", "xmin", "xmax", "n",
-                             "y0", "format"])
+                             "format"])
     cfg["s"] = None if s is None else _complex_str(s)
     _emit_table(table, cfg, args)
     return 0
@@ -219,9 +220,8 @@ def cmd_density(args):
 
 def cmd_levy(args):
     params = _family(args)
-    trip = levy_triplet(params, args.xmin, args.xmax, args.n, y0=args.y0)
-    cfg = _run_config(args, ["alpha", "r", "xmin", "xmax", "n", "y0",
-                             "format"])
+    trip = levy_triplet(params, args.xmin, args.xmax, args.n)
+    cfg = _run_config(args, ["alpha", "r", "xmin", "xmax", "n", "format"])
     cfg["s"] = _complex_str(params.s)
     if args.format == "json":
         _emit_json(args, {"config": cfg, **trip.to_dict()})
@@ -375,8 +375,6 @@ def _add_table_opts(p, max_n):
     p.add_argument("--xmin", type=_finite(), required=True)
     p.add_argument("--xmax", type=_finite(), required=True)
     p.add_argument("--n", type=_int_between(1, max_n), default=101)
-    p.add_argument("--y0", type=_finite(0.0, closed=False), default=None,
-                   help="upper read height (the lower one is y0/2)")
     p.add_argument("--format", default="csv",
                    choices=["csv", "json", "plotdata"])
     p.add_argument("--out", default="-")

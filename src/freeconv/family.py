@@ -329,11 +329,8 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
         raise DomainError("ys must be finite, positive and strictly "
                           "decreasing")
     sp, rp = complex(s) / r, 1.0 / r
-    try:
-        scale = max(1.0, abs(complex(s)) ** (1.0 / alpha),
-                    abs(sp) ** (1.0 / alpha)) * max(1.0, r, rp)
-    except OverflowError:  # refused below with the other overflows
-        scale = np.inf
+    scale = max(1.0, _s_scale(alpha, s), _s_scale(alpha, sp)) \
+        * max(1.0, r, rp)
     xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
     y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
     if not np.isfinite(y_top):

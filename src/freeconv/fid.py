@@ -291,19 +291,19 @@ def levy_beta_closed(r, x):
     return _scalar(out)
 
 
-def _phi_read(params, xs, y0, police=False):
+def _phi_read(params, xs):
     """(f, err, heights): -(1/pi) Im phi(x+i0) read at the points xs; err
     adds the rounding of F^-1 = phi + z, which phi inherits."""
-    heights = _heights(y0, xs)
+    heights = _heights(xs)
     phi = phi_boundary(params, xs, heights)
-    f, err = _read(-phi.imag / np.pi, police)
+    f, err = _read(-phi.imag / np.pi)
     finv = phi[1] + (xs + 1j * heights[1])
     return f, err + _ROUNDING / np.pi * np.abs(finv), heights
 
 
 def levy_density_numeric(params, x):
     """Levy density at |x| >= LEVY_X_MIN from boundary values of phi: the
-    length-1 form of levy_table, which also refuses an atom under x.
+    length-1 form of levy_table.
 
     The boundary value f(x) of -(1/pi) Im phi(x+iy) is the density of
     (1+x**2) tau(dx); the Levy density is f(x)/x**2.
@@ -311,18 +311,18 @@ def levy_density_numeric(params, x):
     x = float(x)
     if abs(x) < LEVY_X_MIN:
         raise DomainError("x = 0 is excluded")
-    f, _err, _ = _phi_read(params, np.asarray([x]), None, police=True)
+    f, _err, _ = _phi_read(params, np.asarray([x]))
     return float(f[0]) / x ** 2
 
 
-def levy_table(params, xs, y0=None):
+def levy_table(params, xs):
     """DensityTable of the Levy density over a strictly increasing grid
-    with |x| >= LEVY_X_MIN; a value below -NEG_DENSITY_TOL raises,
-    naming its point and theory_verdict."""
+    with |x| >= LEVY_X_MIN; an atom under a point raises, and so does a
+    value below -NEG_DENSITY_TOL, naming its point and theory_verdict."""
     xs = _grid(xs)
     if np.any(np.abs(xs) < LEVY_X_MIN):
         raise DomainError("grid must avoid x = 0")
-    f, err, heights = _phi_read(params, xs, y0)
+    f, err, heights = _phi_read(params, xs)
     values = f / xs ** 2
     if np.any(values < -NEG_DENSITY_TOL):
         k = np.nanargmin(values)
@@ -351,20 +351,20 @@ def _gauss_nodes(u, v):
 
 def tau_interval_mass(params, u, v):
     """Integral of (1 + x**2) d tau over [u, v]: the x-integral of
-    -(1/pi) Im phi(x+iy) on a fixed Gauss rule, read at the two heights."""
+    -(1/pi) Im phi(x+i0), read at the nodes of a fixed Gauss rule."""
     if not u < v:
         raise DomainError("need u < v")
     xs, ws = _gauss_nodes(float(u), float(v))
-    phi = phi_boundary(params, xs, _heights(None, (u, v)))
-    val, _err = _read(np.sum(ws * (-phi.imag / np.pi), axis=1), police=True)
-    return float(val)
+    f, _err, _ = _phi_read(params, xs)
+    return float(np.sum(ws * f))
 
 
 def tau_atom(params, x):
-    """tau({x}) = lim iy phi(x+iy) / (1 + x**2)."""
+    """tau({x}) = lim iy phi(x+iy) / (1 + x**2), read off F^-1 = phi + z,
+    the same limit without phi's -z, which adds -2y**2 to the step."""
     x = float(x)
-    return _atom_limit(lambda ys: phi_boundary(params, x, ys), x,
-                       1e-6) / (1.0 + x ** 2)
+    return _atom_limit(lambda ys: phi_boundary(params, x, ys) + (x + 1j * ys),
+                       x, 1e-6) / (1.0 + x ** 2)
 
 
 def _phi_at_i(params):
@@ -376,14 +376,14 @@ def tau_total_mass(params):
     return float(-_phi_at_i(params).imag)
 
 
-def levy_triplet(params, xmin, xmax, n, y0=None):
+def levy_triplet(params, xmin, xmax, n):
     """Generating triplet read off from phi on a window [xmin, xmax].
 
     gamma = Re phi(i) + 2 * integral of x d tau, the moment taken over the
     window (principal-value sense; for heavy symmetric tails choose a
     symmetric window).  a = tau({0}).  nu is a Levy-density grid on the
     window with the points |x| < LEVY_X_MIN dropped.  nu and the moment
-    are read at (y0, y0/2), by default y0 = 2e-13 max(1, |xmin|, |xmax|).
+    are read at heights their own points pick; an atom under one raises.
     """
     if not xmin < xmax:
         raise DomainError("need xmin < xmax")
@@ -391,10 +391,9 @@ def levy_triplet(params, xmin, xmax, n, y0=None):
     xs = xs[np.abs(xs) >= LEVY_X_MIN]
     if not xs.size:
         raise DomainError("the window's grid has no point off x = 0")
-    y0 = _heights(y0, (xmin, xmax))[0]
-    nu = levy_table(params, xs, y0=y0)
+    nu = levy_table(params, xs)
     gx, gw = _gauss_nodes(float(xmin), float(xmax))
-    f, _err, _ = _phi_read(params, gx, y0)
+    f, _err, _ = _phi_read(params, gx)
     moment = float(np.sum(gw * gx * f / (1.0 + gx ** 2)))
     gamma = float(_phi_at_i(params).real) + 2.0 * moment
     a = tau_atom(params, 0.0)

@@ -2,8 +2,8 @@
 
 The boundary value f of -(1/pi) Im G(x+iy) is read at two heights 2y and
 y = 1e-13 * max(1, |x|) as 2 f(y) - f(2y); err is |f(y) - f(2y)| plus
-the samples' rounding.  An atom doubles f from 2y to y (the pointwise
-reads refuse it) and has its own evaluator, lim iy*G(x+iy).  phi's
+the samples' rounding.  An atom doubles f from 2y to y (every read
+refuses it) and has its own evaluator, lim iy*G(x+iy).  phi's
 boundary values (the Levy data in fid) share these helpers.  The module
 also carries the closed-form densities used as oracles elsewhere.
 """
@@ -25,33 +25,32 @@ NEG_DENSITY_TOL = 1e-9
 _ROUNDING = 32 * np.finfo(float).eps
 
 
-def _heights(y0, xs):
-    """(2y, y), y = 1e-13 * max(1, |x|) over the points xs or y0 / 2."""
-    if y0 is None:
-        y0 = 2e-13 * max(1.0, float(np.max(np.abs(xs))))
-    return np.array([y0, 0.5 * y0])
+def _heights(xs):
+    """(2y, y), y = 1e-13 * max(1, |x|) over the points xs."""
+    y = 1e-13 * max(1.0, float(np.max(np.abs(xs))))
+    return np.array([2.0 * y, y])
 
 
-def _read(rows, police=False):
+def _read(rows):
     """(2 f(y) - f(2y), |f(y) - f(2y)|) from the rows f(2y), f(y): the
-    linear step removes the O(y) bias.  With police, a positive f that
-    grows 1.9-fold or more (by over 1e-11 max(1, |f|)) raises: an atom,
-    f ~ 1/y; an integrable |x - a|**-p, p < 1, grows only 2**p-fold."""
+    linear step removes the O(y) bias.  A positive f that grows 1.9-fold
+    or more (by over 1e-11 max(1, |f|)) raises: an atom, f ~ 1/y; an
+    integrable |x - a|**-p, p < 1, grows only 2**p-fold."""
     f2, f1 = rows
     err = np.abs(f1 - f2)
-    if police and np.any((f2 > 0.0) & (f1 >= 1.9 * f2)
-                         & (err > 1e-11 * np.maximum(1.0, np.abs(f1)))):
+    if np.any((f2 > 0.0) & (f1 >= 1.9 * f2)
+              & (err > 1e-11 * np.maximum(1.0, np.abs(f1)))):
         raise ConvergenceError("the boundary value doubles from 2y to y "
                                "(atom or pole under the evaluation point?)")
     return 2.0 * f1 - f2, err
 
 
-def _inversion(G, xs, y0, police=False):
+def _inversion(G, xs):
     """(density, err, heights): -(1/pi) Im G(x+i0) at the points xs, read
     at two heights with one call of G; err adds G's own rounding."""
-    heights = _heights(y0, xs)
+    heights = _heights(xs)
     g = G(xs + 1j * heights[:, None])
-    dens, err = _read(-np.imag(g) / np.pi, police)
+    dens, err = _read(-np.imag(g) / np.pi)
     return dens, err + _ROUNDING / np.pi * np.abs(g[1]), heights
 
 
@@ -60,7 +59,8 @@ def _atom_limit(samples, x, tol):
     trades the kernel's eps/y loss near a pole against the step's O(y**2)
     bias; samples(ys) = g(x + 1j*ys); an Im above tol (relative) raises."""
     ys = np.array([2e-6, 1e-6]) * max(1.0, abs(x))
-    val, _err = _read(1j * ys * samples(ys))
+    v2, v1 = 1j * ys * samples(ys)
+    val = 2.0 * v1 - v2
     if abs(val.imag) > tol * (1.0 + abs(val.real)):
         raise ConvergenceError("the atom limit lim iy*g(x+iy) kept an "
                                "imaginary part")
@@ -69,8 +69,8 @@ def _atom_limit(samples, x, tol):
 
 def density_from_G(G, x):
     """(density, err) at real x from -(1/pi) Im G(x+iy); the length-1
-    form of build_density_table, which also refuses an atom under x."""
-    dens, err, _ = _inversion(G, np.asarray([float(x)]), None, police=True)
+    form of build_density_table."""
+    dens, err, _ = _inversion(G, np.asarray([float(x)]))
     return float(dens[0]), float(err[0])
 
 
@@ -143,15 +143,15 @@ def _grid(xs):
     return xs
 
 
-def build_density_table(G, xs, y0=None):
+def build_density_table(G, xs):
     """DensityTable by Stieltjes inversion of G on the grid xs, read at
-    the heights (y0, y0/2), y0 = 2e-13 * max(1, max|x|) by default.
+    2y and y, y = 1e-13 * max(1, max|x|); an atom under a point raises.
 
     G must accept complex arrays (all transforms in this package do); it
     is called once, on the grid of every x at both heights.
     """
     xs = _grid(xs)
-    dens, err, heights = _inversion(G, xs, y0)
+    dens, err, heights = _inversion(G, xs)
     return DensityTable(xs=xs, values=dens, errs=err, y_ladder=heights)
 
 

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from freeconv import cli, closed_beta_density
+from freeconv import (ConvergenceError, FamilyParams, build_density_table,
+                      cauchy_G, cli, closed_beta_density, levy_table)
 from freeconv.cli import build_parser, main, parse_complex
 
 
@@ -152,6 +153,9 @@ def test_config_errors_exit_2(capsys, monkeypatch):
          "--z", "-0.5", "--r", "3"),
         ("eval", "--transform", "G", "--alpha", "1", "--s", "-1",
          "--z", "2i"),
+        # --s-arg means nothing without --s-mod
+        ("eval", "--transform", "G", "--alpha", "1", "--s=-1", "--s-arg",
+         "1.0", "--r", "2", "--z", "2i"),
     ]
     # size minimums: --n 1, fid --nx/--ny 2
     density = ("density", "--alpha", "1", "--s", "-1", "--r", "2",
@@ -170,7 +174,7 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         fid + ("--ny", "1"),
         fid + ("--nx", "4.5"),
     ]
-    # rect, read height and tolerance values: finite, --y0 > 0, --tol >= 0
+    # rect and tolerance values: finite, --tol >= 0
     cases += [
         fid + ("--tol", "nan", "--nx", "40", "--ny", "20"),
         fid + ("--tol", "inf"),
@@ -184,13 +188,11 @@ def test_config_errors_exit_2(capsys, monkeypatch):
          "--xmax", "1", "--ymin", "1e-3", "--ymax", "1"),
         ("density", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "0",
          "--xmax", "inf", "--n", "3"),
-        density + ("--y0=-1",),
-        density + ("--y0", "0"),
-        density + ("--y0", "nan"),
         ("density", "--alpha", "1", "--s=-1", "--r", "1.5", "--xmin", "nan",
          "--xmax", "1"),
         levy + ("--xmax", "inf"),
-        levy + ("--y0", "inf"),
+        # the read heights are no option
+        density + ("--y0", "2e-13"),
         # finite ends whose difference overflows: the grid would be NaN
         density + ("--xmin=-1e308", "--xmax", "1e308"),
         levy + ("--xmin=-1e308", "--xmax", "1e308"),
@@ -249,8 +251,6 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
                   "--nx", "4", "--ny", "4"),
                  ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=1",
                   "--xmax", "1.5e308", "--n", "3"),
-                 ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=-1",
-                  "--xmax", "1", "--n", "5", "--y0", "1e308"),
                  ("levy", "--alpha", "0.5", "--s=-1e300", "--r", "2",
                   "--xmin=-1", "--xmax", "1", "--n", "3"),
                  ("fid", "--alpha", "0.5", "--s=-1e300", "--r", "2",
@@ -319,6 +319,24 @@ def test_power_law_edges_tabulate(capsys):
         assert (code, err) == (0, ""), argv
         rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert len(rows) == int(argv.split()[-1]) + 1, argv  # header, n rows
+
+
+def test_every_read_refuses_an_atom(capsys):
+    # mu(1, -1, 1) is the point mass at 0, and the Levy measure of
+    # mu(1, -1, 2) the point mass at 1/4: f doubles from 2y to y there
+    point = FamilyParams(1.0, -1.0, 1.0)
+    with pytest.raises(ConvergenceError, match="doubles from 2y to y"):
+        build_density_table(lambda z: cauchy_G(point, z),
+                            np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(ConvergenceError, match="doubles from 2y to y"):
+        levy_table(FamilyParams(1.0, -1.0, 2.0), np.linspace(0.05, 0.45, 9))
+    for argv in ("density --alpha 1 --s=-1 --r 1 --xmin=-1 --xmax 1 --n 5",
+                 "levy --alpha 1 --s=-1 --r 2 --xmin 0.05 --xmax 0.45 "
+                 "--n 9"):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: the boundary value doubles"), argv
+        assert err.count("\n") == 1, argv
 
 
 def test_verify_inversion_suite(capsys):

@@ -48,12 +48,10 @@ density = _join(
                      "cauchy-mix", "half-stable"]).map(
         lambda m: [f"--measure={m}"]),
     _window(), _opt("n", small_int),
-    _opt("y0", st.floats(min_value=-0.1, max_value=0.5, allow_nan=False)),
     st.sampled_from([[], ["--format=json"], ["--format=plotdata"]]))
 
 levy = _join(
     st.just(["levy"]), _member(), _window(), _opt("n", small_int),
-    _opt("y0", st.floats(min_value=-0.1, max_value=0.5, allow_nan=False)),
     st.sampled_from([[], ["--format=json"]]))
 
 fid = _join(

@@ -432,6 +432,14 @@ def test_tau_values():
         0.0, abs=1e-10)
 
 
+def test_tau_atom_at_zero_keeps_no_step_bias():
+    # read off F^-1 = phi + z: phi's -z term alone left -2y**2 = -2e-12
+    for member in ((1.0, 3j, 3.0), (2.0, 1.0, 2.0), (1.0, -1.0, 1.5),
+                   (1.0, -1.0, 2.0), (1.0, 1j, 2.0), (0.5, -1.0, 2.0),
+                   (1.7, 1.0, 4.0)):
+        assert abs(tau_atom(FamilyParams(*member), 0.0)) <= 1e-14, member
+
+
 def test_levy_triplet_cubic():
     cubic = FamilyParams(1.0, 3j, 3.0)
     trip = levy_triplet(cubic, -3.0, 3.0, 41)
