@@ -92,11 +92,11 @@ def _int_between(lo, hi):
 
 
 # size caps, so that no argument asks for more memory than a workstation
-# has: a density table takes about 0.15 kB per point and read height, of
-# which there are two (0.3 GB at the cap), a Levy table's continuation
-# runs in blocks of 2**15 path points (about 40 MB peak RSS at the cap), a
-# fid scan keeps two boolean masks, about 2 B per grid point (49 MB at the
-# caps)
+# has: a density table's CSV text sets the peak, about 0.3 kB per point
+# (0.3 GB at the cap), and its kernel call runs in blocks of 2**15 points
+# (the table peaks at 0.12 GB), a Levy table's continuation runs in such
+# blocks too (about 40 MB peak RSS at the cap), a fid scan keeps two
+# boolean masks, about 2 B per grid point (49 MB at the caps)
 _MAX_DENSITY_N, _MAX_LEVY_N = 1_000_000, 10_000
 _MAX_NX, _MAX_NY = 3200, 1600
 

@@ -32,15 +32,16 @@ from .errors import AdmissibilityError, BranchCutError, DomainError
 # tolerance for angle comparisons against the admissible-sector boundary
 ANGLE_TOL = 1e-12
 
-# points (path rows x columns) per continuation block in
-# _tracked_columns: small enough for a block's temporaries to stay in
-# cache, large enough for numpy to release the GIL for most of its time
-_TRACK_BLOCK_POINTS = 2 ** 15
+# points per block of a wide kernel call (see _in_blocks): small enough
+# for a block's temporaries to stay in cache, large enough for numpy to
+# release the GIL for most of its time
+_BLOCK_POINTS = 2 ** 15
 
 
 def _thread_count():
-    """Worker threads for the tracked continuation: FREECONV_THREADS (an
-    integer >= 1) or 4, capped at the CPU count."""
+    """Worker threads for every kernel call wider than one block (see
+    _in_blocks): FREECONV_THREADS (an integer >= 1) or 4, capped at the
+    CPU count."""
     env = os.environ.get("FREECONV_THREADS", "")
     if env and not (env.strip().isdigit() and int(env) >= 1):
         raise DomainError(f"FREECONV_THREADS must be an integer >= 1, "
@@ -53,6 +54,36 @@ def _thread_count():
 # exiting ones free theirs; a forked child has the pools but no threads
 _pool = functools.cache(ThreadPoolExecutor)
 os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _in_blocks(run, n, points_each):
+    """run(block) for slices that tile range(n), whose items hold
+    points_each points each: blocks of at most _BLOCK_POINTS points (one
+    item at least), split evenly into a multiple of _thread_count() of
+    them and run on the kept pool under the caller's numpy error state,
+    which is per thread.  One block runs inline on the caller's thread.
+    run must write only its own block and submit nothing to the pool (a
+    kernel call on its block runs inline): a block waiting on the pool it
+    runs on can deadlock it."""
+    width = max(1, _BLOCK_POINTS // points_each)
+    nthreads = _thread_count() if n > width else 1
+    count = -(-n // width)  # blocks needed, then rounded up to a multiple
+    count = max(1, min(n, -(-count // nthreads) * nthreads))
+    edges = [n * k // count for k in range(count + 1)]
+    blocks = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    if nthreads == 1:
+        for b in blocks:
+            run(b)
+        return
+    state = np.geterr()
+
+    def task(b):
+        with np.errstate(**state):
+            run(b)
+    futures = [_pool(nthreads).submit(task, b) for b in blocks]
+    wait(futures)  # no block still runs when one's exception is raised
+    for f in futures:
+        f.result()
 
 
 def is_admissible(alpha, s):
@@ -175,43 +206,78 @@ def verification_cone(alpha, *scales):
 def _stage1(alpha, s, z):
     """The masked first stage w = 1 - s*(-1/z)**alpha (upper-cut power);
     returns (w, ok).  Never raises: invalid z or -1/z on the cut is masked.
+    The power comes first in the product: numpy reuses a large temporary
+    in place as power*s, and complex products round by operand order.
     """
     z = np.asarray(z, dtype=complex)
     ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
     lu, ok = _branch_log(-1.0 / np.where(ok, z, 1j), ok, upper=True)
-    return 1.0 - s * np.exp(alpha * lu), ok
+    return 1.0 - np.exp(alpha * lu) * s, ok
 
 
-def _core(alpha, s, r, z, track=False):
-    """Branch-resolved evaluation of the composition; returns (G, ok).
-
-    Never raises: points where an intermediate lands on a cut (or the input
-    is invalid) come back masked with ok=False and value NaN.  Vectorized
-    over z.  With track=True, z is a grid whose rows descend a path and the
-    arguments of both power bases are continued down its columns instead
-    of being cut (see _tracked_columns).
-    """
-    z = np.asarray(z, dtype=complex)
-    if r == 1.0 and not track:
-        # the chain collapses algebraically to 1/z (point mass at zero)
-        ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
-        g = 1.0 / np.where(ok, z, 1j)
-        return np.where(ok, g, complex(np.nan, np.nan)), ok
+def _chain(alpha, s, r, z, track):
+    """(l4, ok): the composition up to the log of its last power base.
+    With track, z is a grid whose rows descend a path and the arguments
+    of both power bases are continued down its columns instead of being
+    cut (see _tracked_columns)."""
     w2, ok = _stage1(alpha, s, z)
     l2, ok = _branch_log(w2, ok, track)
-    l4, ok = _branch_log((1.0 - np.exp(l2 / r)) / s, ok, track, upper=True)
+    return _branch_log((1.0 - np.exp(l2 / r)) / s, ok, track, upper=True)
+
+
+def _power(alpha, r, l4, ok):
+    """(G, ok) from the chain's l4: its final power, masked to NaN where
+    ok is False or G is not finite."""
     g = -(r ** (1.0 / alpha)) * np.exp(l4 / alpha)
     ok &= np.isfinite(g)
     return np.where(ok, g, complex(np.nan, np.nan)), ok
 
 
-def _F_masked(alpha, s, r, z, track=False):
-    """(F = 1/G, ok) over z without raising; masked points are NaN."""
-    vals, ok = _core(alpha, s, r, z, track)
+def _reciprocal(vals, ok):
+    """(1/vals, ok), masked to NaN where the reciprocal is not finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         f = 1.0 / vals
     ok &= np.isfinite(f)
     return np.where(ok, f, complex(np.nan, np.nan)), ok
+
+
+def _map_blocks(fn, z):
+    """fn(z) -> (vals, ok), elementwise over the complex array z, in
+    blocks (see _in_blocks) when z is wider than one."""
+    z = np.asarray(z, dtype=complex)
+    if z.size <= _BLOCK_POINTS:
+        return fn(z)
+    vals = np.empty(z.shape, dtype=complex)
+    ok = np.empty(z.shape, dtype=bool)
+    zf, vf, okf = z.reshape(-1), vals.reshape(-1), ok.reshape(-1)
+
+    def run(b):
+        vf[b], okf[b] = fn(zf[b])
+    _in_blocks(run, zf.size, 1)
+    return vals, ok
+
+
+def _core(alpha, s, r, z):
+    """Branch-resolved evaluation of the composition; returns (G, ok).
+
+    Never raises: points where an intermediate lands on a cut (or the input
+    is invalid) come back masked with ok=False and value NaN.  Vectorized
+    over z; a call wider than one block runs in blocks (see _in_blocks).
+    """
+    z = np.asarray(z, dtype=complex)
+    if r == 1.0:
+        # the chain collapses algebraically to 1/z (point mass at zero)
+        ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
+        g = 1.0 / np.where(ok, z, 1j)
+        return np.where(ok, g, complex(np.nan, np.nan)), ok
+    return _map_blocks(
+        lambda b: _power(alpha, r, *_chain(alpha, s, r, b, False)), z)
+
+
+def _F_masked(alpha, s, r, z):
+    """(F = 1/G, ok) over z without raising; masked points are NaN.  Each
+    block takes its reciprocal while it is still in cache."""
+    return _map_blocks(lambda b: _reciprocal(*_core(alpha, s, r, b)), z)
 
 
 def _worst(res, pts, return_argmax):
@@ -317,10 +383,11 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     ys_desc must be finite, positive and strictly decreasing, and the
     path's start finite.  phi and ok have rows matching ys_desc; a column
     is masked below any point where the continuation degenerates (zero or
-    infinity in an intermediate).  Blocks of columns run on
-    _thread_count() threads when there are two or more, and keep must
-    write only the columns it is given; the values do not depend on the
-    thread count or the block size.
+    infinity in an intermediate).  The columns run in blocks (see
+    _in_blocks), each continued along the whole path but given its final
+    power and reciprocal on the ys_desc rows only, and keep must write
+    only the columns it is given; the values do not depend on the thread
+    count or the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys_desc = np.asarray(ys_desc, dtype=float).ravel()
@@ -336,26 +403,18 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     if not np.isfinite(y_top):
         raise DomainError("the path start overflows: |s|, |x| or y too large")
     path, rows = _path(y_top, ys_desc, 1e-4 * scale)
+
     # columns are continued independently: blocks of them keep the dense
-    # path's memory bounded, and only the ys_desc rows are handed on
-    width = max(1, _TRACK_BLOCK_POINTS // path.size)
-    starts = range(0, xs.size, width)
-
-    def run(j):
-        Z = xs[None, j:j + width] + 1j * path[:, None]
+    # path's memory bounded, and only the ys_desc rows are finished and
+    # handed on
+    def run(cols):
+        Z = xs[None, cols] + 1j * path[:, None]
         with np.errstate(all="ignore"):
-            f_inv, ok_b = _F_masked(alpha, sp, rp, Z, track=True)
-        keep(slice(j, j + width), f_inv[rows] - Z[rows], ok_b[rows])
-
-    nthreads = _thread_count() if len(starts) > 1 else 1
-    if nthreads > 1:
-        blocks = [_pool(nthreads).submit(run, j) for j in starts]
-        wait(blocks)  # no block still runs when one's exception is raised
-        for b in blocks:
-            b.result()
-    else:
-        for j in starts:
-            run(j)
+            l4, ok_b = _chain(alpha, sp, rp, Z, True)
+            f_inv, ok_b = _reciprocal(*_power(alpha, rp, l4[rows],
+                                              ok_b[rows]))
+        keep(cols, f_inv - Z[rows], ok_b)
+    _in_blocks(run, xs.size, path.size)
 
 
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):

@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +12,12 @@ from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       series_coefficients, series_G, verification_cone,
                       verify_composition, verify_self_similarity,
                       voiculescu_phi)
+from freeconv import family
 from freeconv.branches import binom_coeff
 from freeconv.family import _path, _phi_tracked_block, phi_boundary
 from freeconv.fid import default_fid_rect
 from freeconv.stable_poisson import StableParams, stable_G
+from freeconv.stieltjes import build_density_table
 
 
 def test_params_validation():
@@ -271,6 +277,71 @@ def test_composition_identity():
     res, arg = verify_composition(1.0, -1.0, 1.5, 2.0, grid,
                                   return_argmax=True)
     assert arg in grid
+
+
+def test_wide_calls_are_exact_in_any_blocks(monkeypatch):
+    # a call wider than one block runs in even blocks on the kept pool:
+    # neither their layout nor the thread count may change a bit, also
+    # for an s neither real nor imaginary, whose products round by order
+    p = FamilyParams(0.7, np.exp(0.8j * np.pi), 1.7)
+    n = 3 * family._BLOCK_POINTS + 1000
+    z = np.linspace(-3.0, 3.0, n) + 1j * np.geomspace(1e-3, 10.0, n)
+    cone = verification_cone(p.alpha, p.s).sample(n)
+    assert cone.size > 3 * family._BLOCK_POINTS
+
+    def results():
+        return [cauchy_G(p, z),
+                *family._F_masked(p.alpha, p.s / p.r, 1.0 / p.r, z),
+                *verify_composition(p.alpha, p.s, p.r, 0.5, cone,
+                                    return_argmax=True)]
+
+    monkeypatch.delenv("FREECONV_THREADS", raising=False)
+    pooled = results()
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    serial = results()
+    monkeypatch.setattr(family, "_BLOCK_POINTS", 10 ** 9)
+    whole = results()
+    monkeypatch.undo()
+    # more threads than cores, switching as often as the interpreter
+    # allows: the workers' disjoint writes must still all land
+    monkeypatch.setattr(family, "_thread_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = results()
+    finally:
+        sys.setswitchinterval(interval)
+    for other in (serial, whole, stressed):
+        for a, b in zip(pooled, other):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_pooled_blocks_keep_the_callers_error_state(monkeypatch):
+    # numpy's error state is per thread: a block run on a pool worker
+    # must still ignore what its caller ignores
+    monkeypatch.setattr(family, "_thread_count", lambda: 2)
+    n = 200_000
+    z = np.geomspace(1e-300, 1e300, n) * np.exp(
+        1j * np.linspace(0.01, np.pi - 0.01, n)[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(all="ignore"):
+            family._F_masked(2.0, 1.0, 2.0, z)
+
+
+def test_density_table_memory_is_bounded(monkeypatch):
+    # the kernel's temporaries live one block at a time: the read of
+    # 2e5 points at two heights peaked at 37.5 MB traced in one piece
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    p = FamilyParams(1.0, -1.0, 2.0)
+    xs = np.linspace(0.05, 0.95, 200_000)
+    tracemalloc.start()
+    try:
+        build_density_table(lambda z: cauchy_G(p, z), xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
 
 
 def test_self_similarity():

@@ -159,23 +159,28 @@ def test_negative_levy_density_names_the_point_and_the_verdict():
 
 def test_levy_table_blocks_are_exact(monkeypatch):
     # columns are continued independently, so neither the block size nor
-    # the number of threads can change a single bit of the result
+    # the number of threads can change a single bit of the result, also
+    # for an s neither real nor imaginary: complex products round by
+    # operand order, which numpy swaps on large temporaries
     cubic = FamilyParams(1.0, 3j, 3.0)
     xs = np.linspace(-3.0, 3.0, 400)
-    grid = (np.linspace(-4.0, 4.0, 120), np.geomspace(4.0, 1e-6, 60))
+    ys = np.geomspace(4.0, 1e-6, 60)
 
     def results():
         tab = levy_table(cubic, xs)
         out = [tab.values, tab.errs]
         for m in ((1.0, -3.0, 3.0), (1.0, -1.0, 2.0)):
-            out += family._phi_tracked_block(*m, *grid)
+            out += family._phi_tracked_block(
+                *m, np.linspace(-4.0, 4.0, 120), ys)
+        out += family._phi_tracked_block(
+            0.7, np.exp(0.8j * np.pi), 1.7, np.linspace(-4.0, 4.0, 300), ys)
         return out
 
     monkeypatch.delenv("FREECONV_THREADS", raising=False)
     pooled = results()
-    monkeypatch.setattr(family, "_TRACK_BLOCK_POINTS", 10 ** 9)
+    monkeypatch.setattr(family, "_BLOCK_POINTS", 10 ** 9)
     whole = results()
-    monkeypatch.setattr(family, "_TRACK_BLOCK_POINTS", 1)  # one column
+    monkeypatch.setattr(family, "_BLOCK_POINTS", 1)  # one column
     columns = results()
     # more threads than cores, switching as often as the interpreter
     # allows: the workers' disjoint column writes must still all land
@@ -229,17 +234,19 @@ def test_pool_is_kept_across_calls(monkeypatch):
     # a pool per call would start new threads, each free to take a new
     # malloc arena; the kept pool runs every call on the same workers
     seen = set()
-    masked = family._F_masked
+    chain = family._chain
 
     def spy(*args, **kwargs):
         seen.add(threading.current_thread().name)
-        return masked(*args, **kwargs)
+        return chain(*args, **kwargs)
 
     monkeypatch.setattr(family, "_thread_count", lambda: 2)
-    monkeypatch.setattr(family, "_F_masked", spy)
+    monkeypatch.setattr(family, "_chain", spy)
     grid = (np.linspace(-4.0, 4.0, 400), np.geomspace(4.0, 1e-6, 60))
+    wide = 1j + np.linspace(-4.0, 4.0, 3 * family._BLOCK_POINTS)
     for _ in range(4):
         family._phi_tracked_block(1.0, -1.0, 2.0, *grid)
+        family.cauchy_G(FamilyParams(1.0, -1.0, 2.0), wide)
     assert threading.current_thread().name not in seen
     assert 1 <= len(seen) <= 2
 
