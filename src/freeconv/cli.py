@@ -39,13 +39,16 @@ def _fmt(x):
 
 
 def parse_complex(text):
-    """Accept '1', '-1', '2i', '1+2i', '0.5-0.25i' (j also works)."""
-    t = text.strip().replace(" ", "").replace("i", "j")
+    """Accept '1', '-1', '2i', '1+2i', '0.5-0.25i' (j also works), with
+    both parts finite."""
     try:
-        return complex(t)
+        z = complex(text.strip().replace(" ", "").replace("i", "j"))
     except ValueError:
+        z = complex(np.nan)
+    if not np.isfinite(z):
         raise argparse.ArgumentTypeError(
-            f"cannot parse {text!r} as a complex number")
+            f"expected a finite complex number, got {text!r}")
+    return z
 
 
 def _complex_str(z):
@@ -362,13 +365,14 @@ def cmd_eval(args):
 
 
 def _add_param_opts(p):
-    p.add_argument("--alpha", type=float, help="stability index in (0, 2]")
+    p.add_argument("--alpha", type=_finite(),
+                   help="stability index in (0, 2]")
     p.add_argument("--s", type=parse_complex,
                    help="scale parameter, e.g. '-1', '3i', '1+2i'")
-    p.add_argument("--s-mod", type=float, help="|s| (alternative to --s)")
-    p.add_argument("--s-arg", type=float,
+    p.add_argument("--s-mod", type=_finite(), help="|s| (alternative to --s)")
+    p.add_argument("--s-arg", type=_finite(),
                    help="arg s in radians (with --s-mod)")
-    p.add_argument("--r", type=float, help="shape parameter, r > 0")
+    p.add_argument("--r", type=_finite(), help="shape parameter, r > 0")
 
 
 def _add_table_opts(p, max_n):

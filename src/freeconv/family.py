@@ -241,43 +241,32 @@ def _reciprocal(vals, ok):
     return np.where(ok, f, complex(np.nan, np.nan)), ok
 
 
-def _map_blocks(fn, z):
-    """fn(z) -> (vals, ok), elementwise over the complex array z, in
-    blocks (see _in_blocks) when z is wider than one."""
+def _core(alpha, s, r, z, reciprocal):
+    """(G, ok), or (F = 1/G, ok) with reciprocal: the branch-resolved
+    composition, never raising.  Points where an intermediate lands on a
+    cut (or the input is invalid) come back masked with ok=False and value
+    NaN.  A call wider than one block runs in blocks (see _in_blocks), each
+    taking its reciprocal while it is still in cache."""
+    def block(zb):
+        if r == 1.0:  # the chain collapses to G = 1/z, a point mass at 0
+            ok = np.isfinite(zb) & (np.abs(zb) > CUT_TOL)
+            w = np.where(ok, zb, 1j)
+            return np.where(ok, w if reciprocal else 1.0 / w,
+                            complex(np.nan, np.nan)), ok
+        g, ok = _power(alpha, r, *_chain(alpha, s, r, zb, False))
+        return _reciprocal(g, ok) if reciprocal else (g, ok)
+
     z = np.asarray(z, dtype=complex)
     if z.size <= _BLOCK_POINTS:
-        return fn(z)
+        return block(z)
     vals = np.empty(z.shape, dtype=complex)
     ok = np.empty(z.shape, dtype=bool)
     zf, vf, okf = z.reshape(-1), vals.reshape(-1), ok.reshape(-1)
 
     def run(b):
-        vf[b], okf[b] = fn(zf[b])
+        vf[b], okf[b] = block(zf[b])
     _in_blocks(run, zf.size, 1)
     return vals, ok
-
-
-def _core(alpha, s, r, z):
-    """Branch-resolved evaluation of the composition; returns (G, ok).
-
-    Never raises: points where an intermediate lands on a cut (or the input
-    is invalid) come back masked with ok=False and value NaN.  Vectorized
-    over z; a call wider than one block runs in blocks (see _in_blocks).
-    """
-    z = np.asarray(z, dtype=complex)
-    if r == 1.0:
-        # the chain collapses algebraically to 1/z (point mass at zero)
-        ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
-        g = 1.0 / np.where(ok, z, 1j)
-        return np.where(ok, g, complex(np.nan, np.nan)), ok
-    return _map_blocks(
-        lambda b: _power(alpha, r, *_chain(alpha, s, r, b, False)), z)
-
-
-def _F_masked(alpha, s, r, z):
-    """(F = 1/G, ok) over z without raising; masked points are NaN.  Each
-    block takes its reciprocal while it is still in cache."""
-    return _map_blocks(lambda b: _reciprocal(*_core(alpha, s, r, b)), z)
 
 
 def _worst(res, pts, return_argmax):
@@ -290,10 +279,10 @@ def _worst(res, pts, return_argmax):
 
 
 def _upper(z):
-    """z as a complex array; it must lie in the open upper half-plane."""
+    """z as a complex array; it must be finite, in the upper half-plane."""
     z = np.asarray(z, dtype=complex)
-    if np.any(z.imag <= 0):
-        raise DomainError("z must lie in the open upper half-plane")
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise DomainError("z must be finite, in the open upper half-plane")
     return z
 
 
@@ -306,14 +295,12 @@ def cauchy_G(params, z):
     if params.r < 1.0:
         raise DomainError("cauchy_G needs r >= 1; use inverse_F for r < 1")
     return _scalar(_unmasked(*_core(params.alpha, params.s, params.r,
-                                    _upper(z))))
+                                    _upper(z), False)))
 
 
 def _map_F(alpha, s, r, z):
-    # F = 1/G as an analytic map, any r > 0; no half-plane or r gate.
-    if r == 1.0:
-        return np.asarray(z, dtype=complex) + 0.0  # identity, exactly
-    return _unmasked(*_F_masked(alpha, s, r, z))
+    """F = 1/G, the single-valued composition, for any r > 0 and z."""
+    return _unmasked(*_core(alpha, s, r, z, True))
 
 
 def reciprocal_F(params, z):
@@ -324,20 +311,29 @@ def reciprocal_F(params, z):
 
 
 def inverse_F(params, z):
-    """Right inverse of reciprocal_F: the same composition at (s/r, 1/r).
+    """Right inverse of reciprocal_F: z + voiculescu_phi(params, z).
 
     For r > 1 this is not the reciprocal Cauchy transform of any measure;
-    it is still a well-defined analytic expression wherever no intermediate
-    hits a branch cut and the inner expression has no zero.
+    it is still a well-defined analytic map wherever the continuation
+    meets no zero of the inner expression.
     """
-    return _scalar(_map_F(params.alpha, params.s / params.r,
-                          1.0 / params.r, _upper(z)))
+    return _scalar(np.asarray(z, dtype=complex) + voiculescu_phi(params, z))
 
 
 def voiculescu_phi(params, z):
-    """phi(z) = inverse_F(z) - z; additive under free convolution."""
+    """phi(z) = F^-1(z) - z, additive under free convolution, at points z
+    of the upper half-plane: the continuation from the cone of the
+    composition at (s/r, 1/r), which switches sheet below it.  Points of
+    equal height share one phi_boundary call; r = 1 gives exactly 0."""
     z = _upper(z)
-    return _scalar(np.asarray(inverse_F(params, z)) - z)
+    phi = np.zeros(z.shape, dtype=complex)
+    if params.r == 1.0:
+        return _scalar(phi)
+    flat, out = z.reshape(-1), phi.reshape(-1)
+    by_y = np.argsort(flat.imag)
+    for run in np.split(by_y, np.flatnonzero(np.diff(flat.imag[by_y])) + 1):
+        out[run] = phi_boundary(params, flat.real[run], flat.imag[run[:1]])[0]
+    return _scalar(phi)
 
 
 def _path(y_top, ys_desc, knee):

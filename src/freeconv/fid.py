@@ -16,9 +16,9 @@ import numpy as np
 
 from .branches import _branch_log, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
-from .family import (_F_masked, _admissible_s, _phi_tracked_block,
-                     _s_scale, _stage1, _tracked_columns, _upper, _worst,
-                     phi_boundary)
+from .family import (_admissible_s, _core, _phi_tracked_block, _s_scale,
+                     _stage1, _tracked_columns, _upper, _worst, phi_boundary,
+                     voiculescu_phi)
 # perfbench records the pool size it ran with as fid._thread_count()
 from .family import _thread_count  # noqa: F401
 from .stieltjes import (NEG_DENSITY_TOL, DensityTable, _ROUNDING,
@@ -367,13 +367,9 @@ def tau_atom(params, x):
                        x, 1e-6) / (1.0 + x ** 2)
 
 
-def _phi_at_i(params):
-    return complex(phi_boundary(params, 0.0, np.asarray([1.0]))[0])
-
-
 def tau_total_mass(params):
     """tau(R) = -Im phi(i)."""
-    return float(-_phi_at_i(params).imag)
+    return float(-voiculescu_phi(params, 1j).imag)
 
 
 def levy_triplet(params, xmin, xmax, n):
@@ -395,7 +391,7 @@ def levy_triplet(params, xmin, xmax, n):
     gx, gw = _gauss_nodes(float(xmin), float(xmax))
     f, _err, _ = _phi_read(params, gx)
     moment = float(np.sum(gw * gx * f / (1.0 + gx ** 2)))
-    gamma = float(_phi_at_i(params).real) + 2.0 * moment
+    gamma = float(voiculescu_phi(params, 1j).real) + 2.0 * moment
     a = tau_atom(params, 0.0)
     return LevyTriplet(gamma=gamma, a=a, nu=nu)
 
@@ -569,16 +565,18 @@ def ui_heuristic(params, grid):
     """Collision search on the reciprocal transform and on its inverse map
     over the grid, which must lie in the open upper half-plane; None when
     nothing is confirmed, else a dict naming the map and the colliding
-    pair.  Heuristic evidence only: a clean pass does not prove
-    injectivity."""
+    pair.  The inverse map is the single-valued composition at (s/r, 1/r),
+    equal to inverse_F only on the cone: the search calls it on arrays of
+    Newton candidates anywhere.  Heuristic evidence only: a clean pass
+    does not prove injectivity."""
     grid = np.asarray(grid, dtype=complex).ravel()
 
     def fwd(z):
-        return _F_masked(params.alpha, params.s, params.r, z)[0]
+        return _core(params.alpha, params.s, params.r, z, True)[0]
 
     def inv(z):
-        return _F_masked(params.alpha, params.s / params.r, 1.0 / params.r,
-                         z)[0]
+        return _core(params.alpha, params.s / params.r, 1.0 / params.r, z,
+                     True)[0]
 
     hit = collision_search(fwd, grid)
     if hit is not None:

@@ -217,7 +217,7 @@ def s_mu2_closed(alpha, s, z):
 
 
 def r_transform(params, z):
-    """R(z) = z * phi(1/z); defined where 1/z lies in the upper half-plane."""
+    """R(z) = z * voiculescu_phi(1/z), for 1/z in the upper half-plane."""
     z = complex(z)
     if z == 0 or (1.0 / z).imag <= 0:
         raise DomainError("1/z must lie in the open upper half-plane")
@@ -267,7 +267,8 @@ class ResidualReport:
 def verify_compound_poisson(alpha, s, grid, return_argmax=False):
     """Max of |phi_{s,2}(z) - z**2 G_a(z) + z| over the grid, where a is
     the stable law at scale s/4.  Zero (to roundoff) when the r = 2 member
-    really is the free compound Poisson over that stable law."""
+    really is the free compound Poisson over that stable law.  phi is the
+    continuation voiculescu_phi, one per distinct height of the grid."""
     params = FamilyParams(alpha, s, 2.0)
     ap = StableParams(alpha, s / 4.0)
     grid = np.asarray(grid, dtype=complex).ravel()

@@ -9,6 +9,7 @@ import pytest
 from freeconv import (ConvergenceError, FamilyParams, build_density_table,
                       cauchy_G, cli, closed_beta_density, levy_table)
 from freeconv.cli import build_parser, main, parse_complex
+from freeconv.stable_poisson import StableParams, stable_G
 
 
 def run(capsys, *argv):
@@ -70,6 +71,18 @@ def test_eval_r_transform(capsys):
     assert code == 0
     re, im = (float(v) for v in out.split())
     assert np.isfinite(re) and np.isfinite(im)
+
+
+def test_eval_phi_is_the_continuation(capsys):
+    # below the cone the composition at (s/r, 1/r) switches sheet: this
+    # printed -1.2418773323343764 0.24966149966844001
+    z = 0.5 + 0.1j
+    code, out, err = run(capsys, "eval", "--transform", "phi", "--alpha",
+                         "2", "--s", "1", "--r", "2", "--z=0.5+0.1i")
+    assert (code, err) == (0, "")
+    re, im = (float(v) for v in out.split())
+    want = z ** 2 * stable_G(StableParams(2.0, 0.25), z) - z
+    assert abs(complex(re, im) - want) < 1e-15
 
 
 def test_density_closed_beta_csv(capsys):
@@ -201,6 +214,21 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         ("verify", "--tol", "nan"),
         ("verify", "--tol=-1"),
         ("verify", "--tol", "abc"),
+    ]
+    # every number must be finite: a NaN z printed "1 nan" with exit 0,
+    # an infinite --s-arg wrote a numpy warning before its error, and
+    # --r inf read as a branch cut
+    point_mass = ("eval", "--transform", "F", "--alpha", "1", "--r", "1")
+    g = ("eval", "--transform", "G", "--z=2i")
+    cases += [
+        point_mass + ("--s=-1", "--z=1+nani"),
+        point_mass + ("--s=-1", "--z=1e400i"),
+        point_mass + ("--s=nan", "--z=2i"),
+        point_mass + ("--s=1e400", "--z=2i"),
+        g + ("--alpha", "nan", "--s=-1", "--r", "2"),
+        g + ("--alpha", "1", "--s=-1", "--r", "inf"),
+        g + ("--alpha", "1", "--s-mod", "inf", "--r", "2"),
+        g + ("--alpha", "1", "--s-mod", "1", "--s-arg", "inf", "--r", "2"),
     ]
     # size caps: each cap + 1, and a size numpy itself cannot allocate
     cases += [

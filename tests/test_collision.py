@@ -8,7 +8,7 @@ import pytest
 from freeconv import fid
 from freeconv import (DomainError, FamilyParams, collision_search,
                       ui_counterexample_map, ui_heuristic)
-from freeconv.family import _F_masked
+from freeconv.family import _core
 
 
 def _eval_clean(f, z):
@@ -79,10 +79,10 @@ def _collision_search_ref(f, pts, min_sep=1e-3, val_tol=1e-12,
 
 def _maps(p):
     def fwd(z):
-        return _F_masked(p.alpha, p.s, p.r, z)[0]
+        return _core(p.alpha, p.s, p.r, z, True)[0]
 
     def inv(z):
-        return _F_masked(p.alpha, p.s / p.r, 1.0 / p.r, z)[0]
+        return _core(p.alpha, p.s / p.r, 1.0 / p.r, z, True)[0]
     return (("reciprocal_F", fwd), ("inverse_F", inv))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeconv import (AdmissibilityError, DomainError, FamilyParams,
                       TruncatedCone, cauchy_G, default_cone, inverse_F,
-                      is_admissible, r0_threshold, reciprocal_F,
+                      is_admissible, r0_threshold, r_transform, reciprocal_F,
                       series_coefficients, series_G, verification_cone,
                       verify_composition, verify_self_similarity,
                       voiculescu_phi)
@@ -157,6 +157,39 @@ def test_inverse_F_blows_up_at_inner_zero():
     assert abs(inverse_F(p, z0 + 1e-9j)) > 1e6
 
 
+def test_phi_is_the_continuation_below_the_cone():
+    # phi of the r = 2 member is z**2 G_a - z, a the stable law at s/4, down
+    # to the axis; the composition at (s/r, 1/r) missed it by up to 15.8
+    # on this grid, with Im phi up to +5.6, by switching sheet
+    xs = np.linspace(-3.0, 3.0, 41)
+    ys = np.geomspace(1e-3, 3.0, 24)
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    tol = 1e-12 * np.maximum(1.0, np.abs(z))
+    for alpha, s in ((2.0, 1.0), (1.3, 1.0), (0.7, np.exp(0.8j * np.pi)),
+                     (1.5, np.exp(0.3j))):
+        p = FamilyParams(alpha, s, 2.0)
+        want = z ** 2 * stable_G(StableParams(alpha, s / 4), z) - z
+        assert np.all(np.abs(voiculescu_phi(p, z) - want) < tol)
+        assert np.all(np.abs(inverse_F(p, z) - z - want) < tol)
+        for k in range(0, z.size, 13):  # R(w) = w phi(1/w) at w = 1/z
+            assert abs(z[k] * r_transform(p, 1 / z[k]) - want[k]) < tol[k]
+    # one point is one continuation, bit for bit
+    p = FamilyParams(2.0, 1.0, 2.0)
+    assert voiculescu_phi(p, 0.5 + 0.1j) == phi_boundary(p, 0.5, [0.1])[0]
+
+
+def test_non_finite_z_is_refused():
+    # a NaN imaginary part passed the half-plane test: the point mass's
+    # F printed 1 nan
+    for r in (1.0, 2.0):
+        p = FamilyParams(1.0, -1.0, r)
+        for z in (complex(1.0, np.nan), complex(np.inf, 1.0),
+                  complex(0.0, np.inf)):
+            for fn in (cauchy_G, reciprocal_F, inverse_F, voiculescu_phi):
+                with pytest.raises(DomainError, match="finite"):
+                    fn(p, z)
+
+
 def test_phi_r2_is_compound_poisson():
     # phi of the r=2 member equals z^2 * G_stable(s/4) - z
     for alpha, s in ((1.0, -1.0), (2.0, 1.0), (0.5, -1.0), (1.0, 1j)):
@@ -291,7 +324,7 @@ def test_wide_calls_are_exact_in_any_blocks(monkeypatch):
 
     def results():
         return [cauchy_G(p, z),
-                *family._F_masked(p.alpha, p.s / p.r, 1.0 / p.r, z),
+                *family._core(p.alpha, p.s / p.r, 1.0 / p.r, z, True),
                 *verify_composition(p.alpha, p.s, p.r, 0.5, cone,
                                     return_argmax=True)]
 
@@ -326,7 +359,7 @@ def test_pooled_blocks_keep_the_callers_error_state(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(all="ignore"):
-            family._F_masked(2.0, 1.0, 2.0, z)
+            family._core(2.0, 1.0, 2.0, z, True)
 
 
 def test_density_table_memory_is_bounded(monkeypatch):
@@ -360,7 +393,8 @@ def test_phi_boundary_continues_cone_values():
     p = FamilyParams(2.0, 1.0, 2.0)
     ys = np.array([30.0, 20.0, 12.0])
     tracked = phi_boundary(p, 1.0, ys)
-    direct = voiculescu_phi(p, 1.0 + 1j * ys)
+    z = 1.0 + 1j * ys
+    direct = family._map_F(p.alpha, p.s / p.r, 1.0 / p.r, z) - z
     np.testing.assert_allclose(tracked, direct, atol=1e-12)
 
 
