@@ -323,16 +323,22 @@ def inverse_F(params, z):
 def voiculescu_phi(params, z):
     """phi(z) = F^-1(z) - z, additive under free convolution, at points z
     of the upper half-plane: the continuation from the cone of the
-    composition at (s/r, 1/r), which switches sheet below it.  Points of
-    equal height share one phi_boundary call; r = 1 gives exactly 0."""
+    composition at (s/r, 1/r), which switches sheet below it.  Each point
+    is continued down its own path, the one phi_boundary(params, x, [y])
+    takes, so its value is that call's, bit for bit, whatever array it is
+    in; r = 1 gives exactly 0."""
     z = _upper(z)
     phi = np.zeros(z.shape, dtype=complex)
     if params.r == 1.0:
         return _scalar(phi)
-    flat, out = z.reshape(-1), phi.reshape(-1)
-    by_y = np.argsort(flat.imag)
-    for run in np.split(by_y, np.flatnonzero(np.diff(flat.imag[by_y])) + 1):
-        out[run] = phi_boundary(params, flat.real[run], flat.imag[run[:1]])[0]
+    out, ok = phi.reshape(-1), np.empty(z.size, dtype=bool)
+
+    def keep(cols, phi_b, ok_b):
+        out[cols], ok[cols] = phi_b[0], ok_b[0]
+    _tracked_columns(params.alpha, params.s, params.r, z.real.ravel(),
+                     z.imag.reshape(1, -1), keep)
+    if not np.all(ok):
+        raise BranchCutError("continuation degenerated along the descent")
     return _scalar(phi)
 
 
@@ -362,6 +368,34 @@ def _path(y_top, ys_desc, knee):
     return path, knots[1:]
 
 
+def _point_paths(y_top, y, knee):
+    """(block, size): _path(y_top[j], [y[j]], knee)[0] for every j, with
+    y_top[j] above the knee, bit for bit (np.interp's formula); block(cols)
+    gives those columns as one array, each padded below with its y to the
+    longest of them, at most size rows.  A padded row repeats its
+    column's last and so continues nothing."""
+    lt, ly = np.log10(y_top), np.log10(y)
+    lk = float(np.log10(knee))
+    lm = np.maximum(ly, lk)  # the dense part ends at the knee or at y
+    dense = np.maximum(np.ceil(np.maximum(24.0, 48.0 / (lt - ly))
+                               * (lt - lm)), 1.0)
+    ends = dense + np.where(ly < lk,
+                            np.maximum(np.ceil(2.0 * (lk - ly)), 1.0), 0.0)
+    size = int(np.max(ends, initial=0.0)) + 1
+
+    def block(cols):
+        d, e = dense[cols], ends[cols]
+        k = np.arange(np.max(e, initial=0.0) + 1.0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # e == d
+            path = 10.0 ** np.where(
+                k < d, (lm[cols] - lt[cols]) / d * k + lt[cols],
+                (ly[cols] - lk) / (e - d) * (k - d) + lk)
+        path[0] = y_top[cols]
+        np.copyto(path, y[cols], where=k >= e)
+        return path
+    return block, size
+
+
 def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     """phi on the grid xs[j] + 1j*ys_desc[i] by analytic continuation of
     the inverse map down each vertical line, handed over a block of
@@ -376,8 +410,11 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     ys_desc in steps of at most 1/24 decade down to 1e-4 of the member's
     scale and half a decade below (coarser steps, or a knee at 1e-3, let
     columns switch sheet), staying on the sheet of the cone values.
-    ys_desc must be finite, positive and strictly decreasing, and the
-    path's start finite.  phi and ok have rows matching ys_desc; a column
+    ys_desc is a ladder for every column, whose one path starts above the
+    widest x, or of shape (1, xs.size), one height a column, each down
+    its own path (_point_paths) from above its own x.  ys_desc must be
+    finite, positive and strictly decreasing, and the paths' starts
+    finite.  phi and ok have rows matching ys_desc; a column
     is masked below any point where the continuation degenerates (zero or
     infinity in an intermediate).  The columns run in blocks (see
     _in_blocks), each continued along the whole path but given its final
@@ -386,31 +423,41 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     count or the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
-    ys_desc = np.asarray(ys_desc, dtype=float).ravel()
-    if not (ys_desc.size and np.all(np.isfinite(ys_desc) & (ys_desc > 0.0))
-            and np.all(np.diff(ys_desc) < 0.0)):
+    ys = np.ascontiguousarray(ys_desc, dtype=float)
+    if not (len(ys) and np.all(np.isfinite(ys) & (ys > 0.0))
+            and np.all(np.diff(ys, axis=0) < 0.0)):
         raise DomainError("ys must be finite, positive and strictly "
                           "decreasing")
     sp, rp = complex(s) / r, 1.0 / r
     scale = max(1.0, _s_scale(alpha, s), _s_scale(alpha, sp)) \
         * max(1.0, r, rp)
-    xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-    y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys_desc[0]))
-    if not np.isfinite(y_top):
+    if ys.ndim == 2:  # a point a column, each down its own path
+        with np.errstate(over="ignore"):
+            y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * np.abs(xs)),
+                            2.0 * ys[0])
+    else:
+        xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
+        y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys[0]))
+    if not np.isfinite(y_top).all():
         raise DomainError("the path start overflows: |s|, |x| or y too large")
-    path, rows = _path(y_top, ys_desc, 1e-4 * scale)
+    if ys.ndim == 2:
+        block, size = _point_paths(y_top, ys[0], 1e-4 * scale)
+        rows = [-1]
+    else:
+        path, rows = _path(y_top, ys, 1e-4 * scale)
+        block, size = (lambda cols: path[:, None]), path.size
 
     # columns are continued independently: blocks of them keep the dense
     # path's memory bounded, and only the ys_desc rows are finished and
     # handed on
     def run(cols):
-        Z = xs[None, cols] + 1j * path[:, None]
+        Z = xs[None, cols] + 1j * block(cols)
         with np.errstate(all="ignore"):
             l4, ok_b = _chain(alpha, sp, rp, Z, True)
             f_inv, ok_b = _reciprocal(*_power(alpha, rp, l4[rows],
                                               ok_b[rows]))
         keep(cols, f_inv - Z[rows], ok_b)
-    _in_blocks(run, xs.size, path.size)
+    _in_blocks(run, xs.size, size)
 
 
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):

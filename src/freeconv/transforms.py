@@ -268,7 +268,7 @@ def verify_compound_poisson(alpha, s, grid, return_argmax=False):
     """Max of |phi_{s,2}(z) - z**2 G_a(z) + z| over the grid, where a is
     the stable law at scale s/4.  Zero (to roundoff) when the r = 2 member
     really is the free compound Poisson over that stable law.  phi is the
-    continuation voiculescu_phi, one per distinct height of the grid."""
+    continuation voiculescu_phi, each grid point down its own path."""
     params = FamilyParams(alpha, s, 2.0)
     ap = StableParams(alpha, s / 4.0)
     grid = np.asarray(grid, dtype=complex).ravel()

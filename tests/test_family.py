@@ -178,6 +178,49 @@ def test_phi_is_the_continuation_below_the_cone():
     assert voiculescu_phi(p, 0.5 + 0.1j) == phi_boundary(p, 0.5, [0.1])[0]
 
 
+def test_phi_at_a_point_does_not_depend_on_its_array(monkeypatch):
+    # each point takes its own path, the one phi_boundary(p, x, [y]) takes:
+    # a wide array of equal heights with one large |x| among them, and an
+    # array of scattered heights, give every point its value alone, bit
+    # for bit, in a few wide kernel calls, not one per height
+    rng = np.random.default_rng(19)
+    same = np.append(rng.uniform(-3.0, 3.0, 400), 1e6) + 0.1j
+    scattered = rng.uniform(-3.0, 3.0, 1000) \
+        + 1j * 10.0 ** rng.uniform(-3.0, 1.5, 1000)
+    calls = []
+    chain = family._chain
+    monkeypatch.setattr(family, "_chain",
+                        lambda *a: calls.append(1) or chain(*a))
+    for alpha, s in ((2.0, 1.0), (0.7, np.exp(0.8j * np.pi))):
+        p = FamilyParams(alpha, s, 2.0)
+        for z in (same, scattered):
+            calls.clear()
+            wide = voiculescu_phi(p, z)
+            assert len(calls) <= 16
+            for k in [*range(0, z.size, 37), z.size - 1]:
+                alone = voiculescu_phi(p, z[k])
+                assert wide[k] == alone
+                assert alone == phi_boundary(p, z[k].real, [z[k].imag])[0]
+
+
+def test_point_paths_are_the_one_row_paths():
+    # family._point_paths builds, a column a point, the path _path builds
+    # for that one row, padded below with it: above and below the knee, at
+    # it, and down to subnormal rows
+    rng = np.random.default_rng(5)
+    knee = 3e-4
+    ys = np.concatenate((10.0 ** rng.uniform(-320.0, 3.0, 300),
+                         [knee, 1e-4, 0.1, 5e-324]))
+    tops = np.maximum(2.0 * ys, 10.0 ** rng.uniform(1.0, 4.0, ys.size))
+    block, size = family._point_paths(tops, ys, knee)
+    got = block(slice(None))
+    assert got.shape == (size, ys.size)
+    for j in range(ys.size):
+        want, _ = _path(tops[j], ys[j:j + 1], knee)
+        assert np.array_equal(got[:want.size, j], want)
+        assert np.all(got[want.size:, j] == ys[j])
+
+
 def test_non_finite_z_is_refused():
     # a NaN imaginary part passed the half-plane test: the point mass's
     # F printed 1 nan
