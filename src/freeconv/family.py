@@ -109,7 +109,8 @@ def _fold_zero(s):
 
 def _admissible_s(alpha, s):
     """(s folded, theta = max(arg s, 0)), the one source of theta;
-    AdmissibilityError outside the admissible sector (see is_admissible)."""
+    AdmissibilityError outside the admissible sector (see is_admissible),
+    where no non-finite s lies."""
     s = _fold_zero(s)
     arg = float(np.angle(s))
     theta = max(arg, 0.0)
@@ -117,7 +118,8 @@ def _admissible_s(alpha, s):
         inside = theta >= (1.0 - alpha) * np.pi - ANGLE_TOL
     else:
         inside = theta <= (2.0 - alpha) * np.pi + ANGLE_TOL
-    if not (0.0 < alpha <= 2.0 and s != 0 and arg >= -ANGLE_TOL and inside):
+    if not (0.0 < alpha <= 2.0 and s != 0 and np.isfinite(s)
+            and arg >= -ANGLE_TOL and inside):
         raise AdmissibilityError(
             f"(alpha={alpha}, s={s}) is outside the admissible sector")
     return s, theta
@@ -135,8 +137,8 @@ class FamilyParams:
 
     def __post_init__(self):
         s, theta = _admissible_s(self.alpha, self.s)
-        if not self.r > 0:
-            raise DomainError("r must be positive")
+        if not 0.0 < self.r < np.inf:
+            raise DomainError("r must be positive and finite")
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "theta", theta)
 
@@ -332,68 +334,53 @@ def voiculescu_phi(params, z):
     if params.r == 1.0:
         return _scalar(phi)
     out, ok = phi.reshape(-1), np.empty(z.size, dtype=bool)
+    xs, ys = z.real.ravel(), z.imag.reshape(1, -1)
+    for c in range(0, z.size, 4096):  # a call holds its points' whole paths
+        part = slice(c, c + 4096)
 
-    def keep(cols, phi_b, ok_b):
-        out[cols], ok[cols] = phi_b[0], ok_b[0]
-    _tracked_columns(params.alpha, params.s, params.r, z.real.ravel(),
-                     z.imag.reshape(1, -1), keep)
+        def keep(cols, phi_b, ok_b):
+            out[part][cols], ok[part][cols] = phi_b[0], ok_b[0]
+        _tracked_columns(params.alpha, params.s, params.r, xs[part],
+                         ys[:, part], keep)
     if not np.all(ok):
         raise BranchCutError("continuation degenerated along the descent")
     return _scalar(phi)
 
 
-def _path(y_top, ys_desc, knee):
-    """(path, rows): y_top, then ys_desc with each gap split into equal
-    steps in log y, 24 or more a decade and 48 or more in all down to the
-    knee (a knot of its own), 2 a decade below, so that path[rows] ==
-    ys_desc exactly.  Logs, not ratios, which overflow for subnormal rows."""
-    ends = np.concatenate(([y_top], ys_desc))
+def _paths(y_top, ys, knee):
+    """(path, rows): a column per column of ys, a ladder of shape (m, 1) or
+    one row a column, (1, n).  Column j is y_top[j], then ys[:, j] with
+    each gap split at the knee into equal steps in log y, 24 or more a
+    decade and 48 or more in all above it, 2 a decade below (a gap of rows
+    an ulp apart, which can share a log, gets one), padded above with
+    y_top[j] to the longest column, so that path[rows, j] == ys[:, j]
+    exactly.  A padded row repeats its column's first and so continues
+    nothing.  The columns are laid end to end in one np.interp call, which
+    gives each what it gives it alone.  Logs, not ratios, which overflow
+    for subnormal rows."""
+    ends = np.concatenate((y_top[None, :], ys))
     logs = np.log10(ends)
-    lk = float(np.log10(knee))
-    at = int(np.count_nonzero(logs > lk))  # the first end at or below it
-    inside = 0 < at < logs.size and logs[at] < lk
-    if inside:
-        logs = np.concatenate((logs[:at], [lk], logs[at:]))
-    per = np.where(logs[1:] >= lk,
-                   max(24.0, 48.0 / float(logs[0] - logs[-1])), 2.0)
-    steps = np.ceil(per * (logs[:-1] - logs[1:]))
-    np.maximum(steps, 1.0, out=steps)  # rows an ulp apart can share a log
-    knots = np.zeros(logs.size)
-    np.add.accumulate(steps, out=knots[1:])
-    path = 10.0 ** np.interp(np.arange(knots[-1] + 1.0), knots, logs)
-    knots = knots.astype(np.intp)
-    if inside:
-        knots = np.concatenate((knots[:at], knots[at + 1:]))
-    path[knots] = ends
-    return path, knots[1:]
-
-
-def _point_paths(y_top, y, knee):
-    """(block, size): _path(y_top[j], [y[j]], knee)[0] for every j, with
-    y_top[j] above the knee, bit for bit (np.interp's formula); block(cols)
-    gives those columns as one array, each padded below with its y to the
-    longest of them, at most size rows.  A padded row repeats its
-    column's last and so continues nothing."""
-    lt, ly = np.log10(y_top), np.log10(y)
-    lk = float(np.log10(knee))
-    lm = np.maximum(ly, lk)  # the dense part ends at the knee or at y
-    dense = np.maximum(np.ceil(np.maximum(24.0, 48.0 / (lt - ly))
-                               * (lt - lm)), 1.0)
-    ends = dense + np.where(ly < lk,
-                            np.maximum(np.ceil(2.0 * (lk - ly)), 1.0), 0.0)
-    size = int(np.max(ends, initial=0.0)) + 1
-
-    def block(cols):
-        d, e = dense[cols], ends[cols]
-        k = np.arange(np.max(e, initial=0.0) + 1.0)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):  # e == d
-            path = 10.0 ** np.where(
-                k < d, (lm[cols] - lt[cols]) / d * k + lt[cols],
-                (ly[cols] - lk) / (e - d) * (k - d) + lk)
-        path[0] = y_top[cols]
-        np.copyto(path, y[cols], where=k >= e)
-        return path
-    return block, size
+    hi, lo = logs[:-1], logs[1:]
+    # knots alternate an end and where its gap meets the knee (the knee,
+    # or the end nearer to it): steps to it are dense, past it sparse
+    knots, fp = np.zeros((2, 2 * len(ys) + 1, ys.shape[1]))
+    fp[::2], mid = logs, fp[1::2]
+    np.minimum(np.maximum(lo, float(np.log10(knee))), hi, out=mid)
+    dense = knots[1::2]
+    np.ceil(np.maximum(24.0, 48.0 / (logs[0] - logs[-1])) * (hi - mid),
+            out=dense)
+    np.maximum(np.ceil(2.0 * (mid - lo)), 1.0 - dense, out=knots[2::2])
+    np.add.accumulate(knots, out=knots)
+    size = int(knots[-1].max()) + 1
+    # lay the columns end to end, each ending on its last position
+    knots += np.arange(size - 1.0, size * ys.shape[1], size) - knots[-1]
+    at = np.arange(float(size * ys.shape[1]))
+    flat = 10.0 ** np.interp(at, knots.T.ravel(), fp.T.ravel())
+    flat[knots[::2].astype(np.intp)] = ends
+    path = flat.reshape(-1, size).T
+    np.copyto(path, y_top, where=at.reshape(-1, size).T < knots[0])
+    # column 0 sits at position 0; its ys rows are every column's
+    return path, knots[2::2, 0].astype(np.intp)
 
 
 def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
@@ -406,15 +393,16 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     truncated cone; descending toward the real axis its two non-integer
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
-    are lifted continuously (unwrapped) down _path, through the rows
-    ys_desc in steps of at most 1/24 decade down to 1e-4 of the member's
-    scale and half a decade below (coarser steps, or a knee at 1e-3, let
-    columns switch sheet), staying on the sheet of the cone values.
-    ys_desc is a ladder for every column, whose one path starts above the
-    widest x, or of shape (1, xs.size), one height a column, each down
-    its own path (_point_paths) from above its own x.  ys_desc must be
-    finite, positive and strictly decreasing, and the paths' starts
-    finite.  phi and ok have rows matching ys_desc; a column
+    are lifted continuously (unwrapped) down a path (_paths), through the
+    rows ys_desc in steps of at most 1/24 decade down to 1e-4 of the
+    member's scale and half a decade below (coarser steps, or a knee at
+    1e-3, let columns switch sheet), staying on the sheet of the cone
+    values.  ys_desc is a ladder for every column, whose one path starts
+    above the widest x, or of shape (1, xs.size), one height a column,
+    each down its own path from above its own x; a path starts at
+    max(10*scale, 1.5*max|x| over its columns, 2*its first y), which must
+    be finite.  ys_desc must be finite, positive and strictly decreasing.
+    phi and ok have rows matching ys_desc; a column
     is masked below any point where the continuation degenerates (zero or
     infinity in an intermediate).  The columns run in blocks (see
     _in_blocks), each continued along the whole path but given its final
@@ -424,40 +412,34 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.ascontiguousarray(ys_desc, dtype=float)
-    if not (len(ys) and np.all(np.isfinite(ys) & (ys > 0.0))
-            and np.all(np.diff(ys, axis=0) < 0.0)):
+    if not (len(ys) and np.isfinite(ys).all() and (ys > 0.0).all()
+            and (ys[1:] < ys[:-1]).all()):
         raise DomainError("ys must be finite, positive and strictly "
                           "decreasing")
+    ys = ys.reshape(len(ys), -1)  # (m, 1) a ladder, (1, n) a row a column
     sp, rp = complex(s) / r, 1.0 / r
     scale = max(1.0, _s_scale(alpha, s), _s_scale(alpha, sp)) \
         * max(1.0, r, rp)
-    if ys.ndim == 2:  # a point a column, each down its own path
-        with np.errstate(over="ignore"):
-            y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * np.abs(xs)),
-                            2.0 * ys[0])
-    else:
-        xmax = float(np.max(np.abs(xs))) if xs.size else 0.0
-        y_top = max(10.0 * scale, 1.5 * xmax, 2.0 * float(ys[0]))
+    # max |x| over each path: all x for a ladder, its own for a point
+    xmax = np.abs(xs).reshape(-1, ys.shape[1]).max(axis=0, initial=0.0)
+    with np.errstate(over="ignore"):
+        y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * xmax), 2.0 * ys[0])
     if not np.isfinite(y_top).all():
         raise DomainError("the path start overflows: |s|, |x| or y too large")
-    if ys.ndim == 2:
-        block, size = _point_paths(y_top, ys[0], 1e-4 * scale)
-        rows = [-1]
-    else:
-        path, rows = _path(y_top, ys, 1e-4 * scale)
-        block, size = (lambda cols: path[:, None]), path.size
+    path, rows = _paths(y_top, ys, 1e-4 * scale)
+    path = np.broadcast_to(path, (len(path), xs.size))
 
-    # columns are continued independently: blocks of them keep the dense
-    # path's memory bounded, and only the ys_desc rows are finished and
-    # handed on
+    # columns are continued independently: blocks of them keep the
+    # continuation's memory bounded, and only the ys_desc rows are finished
+    # and handed on
     def run(cols):
-        Z = xs[None, cols] + 1j * block(cols)
+        Z = xs[None, cols] + 1j * path[:, cols]
         with np.errstate(all="ignore"):
             l4, ok_b = _chain(alpha, sp, rp, Z, True)
             f_inv, ok_b = _reciprocal(*_power(alpha, rp, l4[rows],
                                               ok_b[rows]))
         keep(cols, f_inv - Z[rows], ok_b)
-    _in_blocks(run, xs.size, size)
+    _in_blocks(run, xs.size, len(path))
 
 
 def _phi_tracked_block(alpha, s, r, xs, ys_desc):
