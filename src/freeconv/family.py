@@ -323,16 +323,13 @@ def inverse_F(params, z):
 
 
 def voiculescu_phi(params, z):
-    """phi(z) = F^-1(z) - z, additive under free convolution, at points z
-    of the upper half-plane: the continuation from the cone of the
-    composition at (s/r, 1/r), which switches sheet below it.  Each point
-    is continued down its own path, the one phi_boundary(params, x, [y])
-    takes, so its value is that call's, bit for bit, whatever array it is
-    in; r = 1 gives exactly 0."""
+    """phi(z) = F^-1(z) - z, additive under free convolution, on C+: the
+    continuation from the cone of the composition at (s/r, 1/r), which
+    switches sheet below it; exactly 0 for r = 1.  Each point takes the
+    path phi_boundary(params, x, [y]) takes, none if z is as high as its
+    start, so its value is that call's bit for bit, in any array."""
     z = _upper(z)
-    phi = np.zeros(z.shape, dtype=complex)
-    if params.r == 1.0:
-        return _scalar(phi)
+    phi = np.empty(z.shape, dtype=complex)
     out, ok = phi.reshape(-1), np.empty(z.size, dtype=bool)
     xs, ys = z.real.ravel(), z.imag.reshape(1, -1)
     for c in range(0, z.size, 4096):  # a call holds its points' whole paths
@@ -351,8 +348,8 @@ def _paths(y_top, ys, knee):
     """(path, rows): a column per column of ys, a ladder of shape (m, 1) or
     one row a column, (1, n).  Column j is y_top[j], then ys[:, j] with
     each gap split at the knee into equal steps in log y, 24 or more a
-    decade and 48 or more in all above it, 2 a decade below (a gap of rows
-    an ulp apart, which can share a log, gets one), padded above with
+    decade above it, 2 a decade below (a gap of length 0, or of rows an
+    ulp apart, which can share a log, gets one), padded above with
     y_top[j] to the longest column, so that path[rows, j] == ys[:, j]
     exactly.  A padded row repeats its column's first and so continues
     nothing.  The columns are laid end to end in one np.interp call, which
@@ -367,8 +364,7 @@ def _paths(y_top, ys, knee):
     fp[::2], mid = logs, fp[1::2]
     np.minimum(np.maximum(lo, float(np.log10(knee))), hi, out=mid)
     dense = knots[1::2]
-    np.ceil(np.maximum(24.0, 48.0 / (logs[0] - logs[-1])) * (hi - mid),
-            out=dense)
+    np.ceil(24.0 * (hi - mid), out=dense)
     np.maximum(np.ceil(2.0 * (mid - lo)), 1.0 - dense, out=knots[2::2])
     np.add.accumulate(knots, out=knots)
     size = int(knots[-1].max()) + 1
@@ -399,16 +395,17 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     1e-3, let columns switch sheet), staying on the sheet of the cone
     values.  ys_desc is a ladder for every column, whose one path starts
     above the widest x, or of shape (1, xs.size), one height a column,
-    each down its own path from above its own x; a path starts at
-    max(10*scale, 1.5*max|x| over its columns, 2*its first y), which must
-    be finite.  ys_desc must be finite, positive and strictly decreasing.
-    phi and ok have rows matching ys_desc; a column
-    is masked below any point where the continuation degenerates (zero or
-    infinity in an intermediate).  The columns run in blocks (see
-    _in_blocks), each continued along the whole path but given its final
-    power and reciprocal on the ys_desc rows only, and keep must write
-    only the columns it is given; the values do not depend on the thread
-    count or the block size.
+    each down its own path from above its own x.  A path starts at
+    max(10*scale, 1.5*max|x| over its columns, its first y), which must be
+    finite: a first row that high is read off the composition.  ys_desc
+    must be finite, positive and strictly decreasing.  phi and ok have
+    rows matching ys_desc; a column is masked below any point where the
+    continuation degenerates (zero or infinity in an intermediate).  For
+    r = 1, F^-1(z) = z: one keep call gets every column, phi exactly 0.
+    The columns run in blocks (see _in_blocks), each continued along the
+    whole path but given its final power and reciprocal on the ys_desc
+    rows only, and keep must write only the columns it is given; the
+    values do not depend on the thread count or the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.ascontiguousarray(ys_desc, dtype=float)
@@ -417,15 +414,18 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
         raise DomainError("ys must be finite, positive and strictly "
                           "decreasing")
     ys = ys.reshape(len(ys), -1)  # (m, 1) a ladder, (1, n) a row a column
+    if r == 1.0:  # F^-1(z) = z: phi is exactly 0, and no path is needed
+        zero = np.broadcast_to(0j, (len(ys), xs.size))
+        return keep(slice(None), zero, np.broadcast_to(True, zero.shape))
     sp, rp = complex(s) / r, 1.0 / r
     scale = max(1.0, _s_scale(alpha, s), _s_scale(alpha, sp)) \
         * max(1.0, r, rp)
     # max |x| over each path: all x for a ladder, its own for a point
     xmax = np.abs(xs).reshape(-1, ys.shape[1]).max(axis=0, initial=0.0)
     with np.errstate(over="ignore"):
-        y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * xmax), 2.0 * ys[0])
+        y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * xmax), ys[0])
     if not np.isfinite(y_top).all():
-        raise DomainError("the path start overflows: |s|, |x| or y too large")
+        raise DomainError("the path start overflows: |s| or |x| too large")
     path, rows = _paths(y_top, ys, 1e-4 * scale)
     path = np.broadcast_to(path, (len(path), xs.size))
 
@@ -457,8 +457,7 @@ def phi_boundary(params, x, ys_desc):
     """phi at x + i*y down a decreasing ladder ys_desc, evaluated on the
     analytic-continuation sheet (see _tracked_columns).  Rows follow
     ys_desc; an array x gives one column per point."""
-    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r,
-                                 np.asarray(x, dtype=float), ys_desc)
+    phi, ok = _phi_tracked_block(params.alpha, params.s, params.r, x, ys_desc)
     if not np.all(ok):
         raise BranchCutError("continuation degenerated along the descent")
     return phi[:, 0] if np.ndim(x) == 0 else phi

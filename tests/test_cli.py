@@ -269,12 +269,9 @@ def test_computation_error_exits_1(capsys, tmp_path, monkeypatch):
                        "--s", "-1", "--r", "2", "--z=-1-1i")
     assert code == 1
     assert err.startswith("error:")
-    # a continuation whose starting height overflows (2 * max y, 1.5 *
-    # max|x| or the scale of a huge |s|) is an error line, not a trace
-    for argv in (("fid", "--alpha", "1", "--s=-1", "--r", "2", "--xmin=-1",
-                  "--xmax", "1", "--ymin", "1e-3", "--ymax", "1e308",
-                  "--nx", "4", "--ny", "4"),
-                 ("fid", "--alpha", "1", "--s=-1", "--r", "2", "--xmin=0",
+    # a continuation whose starting height overflows (1.5 * max|x| or the
+    # scale of a huge |s|) is an error line, not a trace
+    for argv in (("fid", "--alpha", "1", "--s=-1", "--r", "2", "--xmin=0",
                   "--xmax", "1.5e308", "--ymin", "1e-3", "--ymax", "1",
                   "--nx", "4", "--ny", "4"),
                  ("levy", "--alpha", "1", "--s=3i", "--r", "3", "--xmin=1",

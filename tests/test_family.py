@@ -215,6 +215,44 @@ def test_phi_at_a_point_does_not_depend_on_its_array(monkeypatch):
                 assert alone == phi_boundary(p, z[k].real, [z[k].imag])[0]
 
 
+def test_phi_above_the_path_start_is_the_composition(monkeypatch):
+    # a point at or above its path's start, max(10*scale, 1.5*|x|), takes
+    # no step: its path is its own row twice, and phi is the composition at
+    # (s/r, 1/r) bit for bit.  On (2, 1, 2) about half the points give the
+    # last power base a negative angle, so the path's lift of its first
+    # row, th[0] <= 0, must pick the sheet the upper-cut log picks
+    rng = np.random.default_rng(31)
+    lifted = 0
+    for alpha, s, r in ((1.0, -1.0, 2.0), (2.0, 1.0, 2.0), (1.3, 1.0, 2.0),
+                        (0.7, np.exp(0.8j * np.pi), 1.7),
+                        (1.5, np.exp(0.3j), 2.5), (1.0, 3j, 3.0),
+                        (0.5, np.exp(2j * np.pi / 3), 3.0),
+                        (1.0, -1.0, 1.5)):
+        p = FamilyParams(alpha, s, r)
+        sp, rp = complex(p.s) / r, 1.0 / r  # as the continuation divides
+        scale = max(1.0, abs(p.s) ** (1.0 / alpha),
+                    abs(sp) ** (1.0 / alpha)) * max(r, rp)
+        x = rng.uniform(-1e3, 1e3, 4000)
+        floor = np.maximum(10.0 * scale, 1.5 * np.abs(x))
+        y = floor * 10.0 ** rng.uniform(0.0, 3.0, 4000)
+        y[:100] = floor[:100]
+        z = x + 1j * y
+        want = family._core(alpha, sp, rp, z, True)[0] - z
+        assert np.array_equal(voiculescu_phi(p, z), want), (alpha, s, r)
+        lifted += np.count_nonzero(
+            family._chain(alpha, sp, rp, z, False)[0].imag > np.pi)
+    assert 1000 < lifted < 30000
+    # the kernel runs on the points themselves, each row twice
+    seen = []
+    chain = family._chain
+    monkeypatch.setattr(family, "_chain",
+                        lambda *a: seen.append(a[3]) or chain(*a))
+    p = FamilyParams(2.0, 1.0, 2.0)
+    z = np.array([3.0 + 20.0j, -40.0 + 60.0j, 0.0 + 1e5j])
+    voiculescu_phi(p, z)
+    assert len(seen) == 1 and np.array_equal(seen[0], [z, z])
+
+
 def test_phi_memory_is_bounded(monkeypatch):
     # a continuation call holds the whole paths of its points, so a wide
     # array goes a few thousand points a call: 20000 points down to 1e-13
@@ -499,8 +537,8 @@ def test_phi_boundary_near_axis_alpha2():
 
 def test_path_passes_through_the_rows():
     # the continuation's path: the caller's rows exactly, no step wider
-    # than 1/24 decade above the knee, at least 48 steps; subnormal rows,
-    # whose ratio to y_top overflows, too; one column, a ladder
+    # than 1/24 decade above the knee; subnormal rows, whose ratio to y_top
+    # overflows, too; one column, a ladder
     def ladder(top, ys, knee):
         path, idx = _paths(np.array([top]), np.reshape(ys, (-1, 1)), knee)
         return path[:, 0], idx
@@ -517,7 +555,7 @@ def test_path_passes_through_the_rows():
         path, idx = ladder(top, ys, tiny)
         assert path[0] == top and np.array_equal(path[idx], ys)
         # subnormal path points may round to equal values
-        assert path.size - 1 >= 48 and np.all(np.diff(path) <= 0.0)
+        assert np.all(np.diff(path) <= 0.0)
         steps = -np.diff(np.log10(path[path > 1e-300]))
         assert np.max(steps) <= (1.0 + 1e-9) / 24.0
         # below a knee inside the rows, half a decade a step at most
@@ -529,6 +567,16 @@ def test_path_passes_through_the_rows():
         above = logs[1:] >= np.log10(knee)
         assert np.max(steps[above], initial=0.0) <= (1.0 + 1e-9) / 24.0
         assert np.max(steps) <= (1.0 + 1e-9) / 2.0
+    # a start on the first row: a gap of length 0 is one step, and a
+    # one-row path is that row twice
+    for top in (1e-300, 0.3, 7.0, 1e300):
+        for knee in (tiny, top, 1e305):
+            path, idx = ladder(top, np.array([top]), knee)
+            assert np.array_equal(path, [top, top]) and idx.tolist() == [1]
+            ys = np.array([top, top / 3.0])
+            path, idx = ladder(top, ys, knee)
+            assert path[0] == top and np.array_equal(path[idx], ys)
+            assert idx[0] == 1
     # rows that are already dense get no points between them
     ys = np.geomspace(10.0, 1e-6, 200)
     path, idx = ladder(20.0, ys, tiny)

@@ -373,12 +373,11 @@ def test_fid_grid_finds_violation():
     with pytest.raises(DomainError, match="width"):
         check_fid_grid(FamilyParams(1.0, -3.0, 3.0),
                        rect=(-1e308, 1e308, 1e-3, 1.0), nx=4, ny=4)
-    # a finite rect whose continuation cannot start (2 * ymax, 1.5 * xmax
-    # overflow) is refused by the continuation
-    for rect in ((-1.0, 1.0, 1e-3, 1e308), (0.0, 1.5e308, 1e-3, 1.0)):
-        with pytest.raises(DomainError, match="path start overflows"):
-            check_fid_grid(FamilyParams(1.0, -1.0, 2.0), rect=rect, nx=4,
-                           ny=4)
+    # a finite rect whose continuation cannot start (1.5 * xmax overflows)
+    # is refused by the continuation
+    with pytest.raises(DomainError, match="path start overflows"):
+        check_fid_grid(FamilyParams(1.0, -1.0, 2.0),
+                       rect=(0.0, 1.5e308, 1e-3, 1.0), nx=4, ny=4)
     for tol in (np.nan, np.inf, -1e-9):
         with pytest.raises(DomainError):
             check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=40, ny=20,
@@ -387,6 +386,41 @@ def test_fid_grid_finds_violation():
     for nx, ny in ((1, 60), (0, 60), (120, 1), (-3, 60)):
         with pytest.raises(DomainError):
             check_fid_grid(FamilyParams(1.0, -3.0, 3.0), nx=nx, ny=ny)
+
+
+def test_r1_phi_is_exactly_zero():
+    # for r = 1, F^-1(z) = z: the continuation hands back exact zeros and
+    # walks no path, so the boundary values, the scan and the Levy table
+    # read 0, not the chain's rounding (5.4e-15 for (2, 1, 1) before), and
+    # voiculescu_phi agrees with phi_boundary bit for bit
+    xs = np.linspace(-3.0, 3.0, 101)
+    ys = np.geomspace(10.0, 1e-13, 30)
+    for alpha, s in ((2.0, 1.0), (1.0, -1.0), (0.7, np.exp(0.8j * np.pi)),
+                     (1.0, 3j)):
+        p = FamilyParams(alpha, s, 1.0)
+        assert not np.any(family.phi_boundary(p, xs, ys))
+        for x, y in ((2.0, 1.0), (-3.0, 1e-13), (1e3, 5.0), (0.0, 1e300)):
+            phi = voiculescu_phi(p, x + 1j * y)
+            assert phi == family.phi_boundary(p, x, [y])[0] == 0.0
+        rep = check_fid_grid(p, nx=40, ny=20, tol=0.0)
+        assert rep.verdict == "no-violation-on-grid"
+        assert rep.n_failures == 0
+        table = levy_table(p, np.linspace(0.1, 1.0, 5))
+        assert not np.any(table.values)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: family._core computes 1 - w2**(1/r) with w2 = "
+    "1 - s*(-1/z)**alpha near 1, which cancels at large |z|; for "
+    "(1, -1, 2) at 0.5+1e8i phi reads -0.5 + 3.4e-7i against z/(4z - 1) "
+    "= 0.25 - 6.25e-10i, and the scan up to y = 1e10 reports a violation "
+    "on a fid member.  Kept strict so the kernel fix is flagged."))
+def test_phi_and_scan_at_large_z():
+    p = FamilyParams(1.0, -1.0, 2.0)
+    z = 0.5 + 1e8j
+    assert abs(voiculescu_phi(p, z) - z / (4.0 * z - 1.0)) < 1e-6
+    rep = check_fid_grid(p, rect=(-1.0, 1.0, 1e-3, 1e10), nx=40, ny=40)
+    assert rep.verdict == "no-violation-on-grid"
 
 
 # the atlas's "unknown" members on which the default scan finds no
