@@ -41,63 +41,56 @@ def _scalar(out):
     return out.item() if out.ndim == 0 else out
 
 
-def _log_upper_raw(z):
-    # arg in (0, 2*pi): lift the principal angle when it is <= 0.  For points
-    # grazing the cut from below the lift can round to exactly 2*pi; clamp
-    # one ulp inside so the documented open range holds in floats.
-    z = np.asarray(z, dtype=complex)
-    ang = np.angle(z)
-    ang = np.where(ang <= 0.0, ang + 2.0 * np.pi, ang)
-    ang = np.minimum(ang, np.nextafter(2.0 * np.pi, 0.0))
-    return np.log(np.abs(z)) + 1j * ang
-
-
-def _log_principal_raw(z):
-    # np.angle can round to exactly -pi just below the cut; the true angle is
-    # strictly above it, so clamp one ulp inside (-pi, pi].
-    z = np.asarray(z, dtype=complex)
-    ang = np.maximum(np.angle(z), np.nextafter(-np.pi, 0.0))
-    return np.log(np.abs(z)) + 1j * ang
-
-
 def _unwrap_rows(p):
-    """np.unwrap(p, axis=0) of a float array, bit for bit, with the modular
-    correction computed only where a step down axis 0 is not below pi in
-    size.
+    """np.unwrap(p, axis=0) of a float array, bit for bit, done in place
+    on p and returned, with the modular correction computed only where a
+    step down axis 0 is not below pi in size.
 
     Continued arguments almost never jump, so the mod and the running sum
     of corrections are skipped when nothing does.  A NaN step counts as a
     jump, and its NaN correction spreads down the rest of its column.
     """
     dd = np.diff(p, axis=0)
-    jump = np.nonzero(~(np.abs(dd) < np.pi))
-    up = p.copy()
+    small = np.abs(dd) < np.pi
     # np.unwrap adds a correction of +0.0 to every row but the first,
     # which turns -0.0 into +0.0
-    up[1:] += 0.0
-    if jump[0].size:
+    p[1:] += 0.0
+    if not small.all():
+        jump = np.nonzero(~small)
         d = dd[jump]
         dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
         dmod[(dmod == -np.pi) & (d > 0)] = np.pi
         ph = np.zeros_like(dd)
         ph[jump] = dmod - d
-        up[1:] += np.cumsum(ph, axis=0)
-    return up
+        p[1:] += np.cumsum(ph, axis=0)
+    return p
 
 
-def _branch_log(w, ok, track=False, upper=False):
-    """(log w, ok) on the principal or (upper=True) the upper-cut branch;
-    points on the cut are masked.  With track, the argument is instead
-    continued down axis 0 from the first row (lifted into (0, 2*pi] for
-    the upper branch) and nothing is masked."""
+def _log_parts(w, ok, track, upper):
+    """(log|w|, arg w, ok), the one log of the kernel, as two float arrays:
+    arg on the principal branch, in (-pi, pi], or (upper) the upper-cut
+    branch, in (0, 2*pi), with the points on the cut taken out of ok; or
+    with track, continued down axis 0 from the first row (lifted into
+    (0, 2*pi] for the upper branch), ok passing through.  Real parts let
+    the caller write its next exponent straight into its own buffer.
+    Masked and invalid points are computed like any other: a caller whose
+    w may hold them runs under an np.errstate that ignores what they
+    raise, and masks them by ok."""
+    th = np.arctan2(w.imag, w.real, out=np.empty(w.shape))
     if track:
-        th = _unwrap_rows(np.angle(w))
+        _unwrap_rows(th)
         if upper:
-            th = th + np.where(th[0] <= 0.0, 2.0 * np.pi, 0.0)
-        return np.log(np.abs(w)) + 1j * th, ok
-    ok = ok & ~(on_upper_cut(w) if upper else on_principal_cut(w))
-    w = np.where(ok, w, 1j if upper else 1.0)
-    return (_log_upper_raw(w) if upper else _log_principal_raw(w)), ok
+            np.add(th, 2.0 * np.pi, out=th, where=th[0] <= 0.0)
+    elif upper:
+        ok = ok & ~on_upper_cut(w)
+        np.add(th, 2.0 * np.pi, out=th, where=th <= 0.0)
+        # a point grazing the cut from below can round to exactly 2*pi
+        np.minimum(th, np.nextafter(2.0 * np.pi, 0.0), out=th)
+    else:
+        ok = ok & ~on_principal_cut(w)
+        # np.arctan2 can round to exactly -pi just below the cut
+        np.maximum(th, np.nextafter(-np.pi, 0.0), out=th)
+    return np.log(np.abs(w)), th, ok
 
 
 def _unmasked(vals, ok):
@@ -108,14 +101,23 @@ def _unmasked(vals, ok):
     return vals
 
 
+def _log(z, upper):
+    """log z on the principal or (upper) the upper-cut branch, as a scalar
+    for a scalar z; BranchCutError on its cut."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lr, th, ok = _log_parts(np.asarray(z, dtype=complex), True, False,
+                                upper)
+    return _scalar(_unmasked(lr + 1j * th, ok))
+
+
 def log_upper(z):
     """log with arg in (0, 2*pi).  Raises BranchCutError on [0, inf)."""
-    return _scalar(_unmasked(*_branch_log(z, True, upper=True)))
+    return _log(z, True)
 
 
 def log_principal(z):
     """log with arg in (-pi, pi].  Raises BranchCutError on (-inf, 0]."""
-    return _scalar(_unmasked(*_branch_log(z, True)))
+    return _log(z, False)
 
 
 def pow_upper(z, p):

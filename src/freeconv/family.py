@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import (CUT_TOL, _branch_log, _log_upper_raw, _scalar,
-                       _unmasked, binom_coeff)
+from .branches import CUT_TOL, _log_parts, _scalar, _unmasked, binom_coeff
 from .errors import AdmissibilityError, BranchCutError, DomainError
 
 # tolerance for angle comparisons against the admissible-sector boundary
@@ -206,57 +205,73 @@ def verification_cone(alpha, *scales):
 
 
 def _stage1(alpha, s, z):
-    """The masked first stage w = 1 - s*(-1/z)**alpha (upper-cut power);
-    returns (w, ok).  Never raises: invalid z or -1/z on the cut is masked.
-    The power comes first in the product: numpy reuses a large temporary
-    in place as power*s, and complex products round by operand order.
-    """
+    """(w, ok): the first stage w = 1 - v, v = s*(-1/z)**alpha on the
+    upper-cut branch, in a new buffer; ok is False where z is invalid or
+    -1/z = (-x + 1j*y)/|z|**2 lies on the cut, tested on z itself.  The
+    upper-cut log of -1/z is -log|z| + 1j*(pi - arg z), in [0, 2*pi]
+    with no division, lift or clamp.  Masked points are computed too,
+    under the caller's np.errstate (see _log_parts).  The power comes
+    first in the product: complex products round by operand order."""
     z = np.asarray(z, dtype=complex)
-    ok = np.isfinite(z) & (np.abs(z) > CUT_TOL)
-    lu, ok = _branch_log(-1.0 / np.where(ok, z, 1j), ok, upper=True)
-    return 1.0 - np.exp(alpha * lu) * s, ok
+    az = np.abs(z, out=np.empty(z.shape))
+    tol = az * CUT_TOL * az
+    ok = (az > CUT_TOL) & ((np.abs(z.imag) > tol) | (z.real > tol))
+    w = np.empty_like(z)
+    np.log(az, out=az)
+    np.multiply(az, -alpha, out=w.real)
+    np.arctan2(z.imag, z.real, out=az)
+    np.subtract(np.pi, az, out=az)
+    np.multiply(az, alpha, out=w.imag)
+    np.exp(w, out=w)
+    w *= s  # v, kept apart from the 1 - v that cancels at large |z|
+    return np.subtract(1.0, w, out=w), ok
 
 
 def _chain(alpha, s, r, z, track):
-    """(l4, ok): the composition up to the log of its last power base.
-    With track, z is a grid whose rows descend a path and the arguments
-    of both power bases are continued down its columns instead of being
-    cut (see _tracked_columns)."""
-    w2, ok = _stage1(alpha, s, z)
-    l2, ok = _branch_log(w2, ok, track)
-    return _branch_log((1.0 - np.exp(l2 / r)) / s, ok, track, upper=True)
+    """(l4, ok): the composition up to l4 = log w4, the log of its last
+    power base, each stage one pass over the buffer _stage1 made, which
+    holds l4.  With track, z is a grid whose rows descend a path and the
+    arguments of both power bases are continued down its columns instead
+    of being cut (see _tracked_columns)."""
+    w, ok = _stage1(alpha, s, z)
+    lr, th, ok = _log_parts(w, ok, track, False)
+    # l2 / r, as numpy divides a complex array by a real: times 1/r
+    np.multiply(lr, 1.0 / r, out=w.real)
+    np.multiply(th, 1.0 / r, out=w.imag)
+    np.exp(w, out=w)
+    np.subtract(1.0, w, out=w)
+    w /= s
+    w.real, w.imag, ok = _log_parts(w, ok, track, True)
+    return w, ok
 
 
-def _power(alpha, r, l4, ok):
-    """(G, ok) from the chain's l4: its final power, masked to NaN where
-    ok is False or G is not finite."""
-    g = -(r ** (1.0 / alpha)) * np.exp(l4 / alpha)
-    ok &= np.isfinite(g)
-    return np.where(ok, g, complex(np.nan, np.nan)), ok
-
-
-def _reciprocal(vals, ok):
-    """(1/vals, ok), masked to NaN where the reciprocal is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = 1.0 / vals
-    ok &= np.isfinite(f)
-    return np.where(ok, f, complex(np.nan, np.nan)), ok
+def _power(a, r, l4, ok):
+    """(-r**(1/a) * exp(l4/a), ok), the chain's last power, in place over
+    l4 and masked to NaN where ok is False or the value is not finite:
+    G for a = alpha, and F = 1/G with the reciprocal folded into the
+    power (one exp, no division) for a = -alpha."""
+    l4 *= 1.0 / a  # l4 / a, as numpy divides by a real
+    np.exp(l4, out=l4)
+    l4 *= -(r ** (1.0 / a))
+    ok &= np.isfinite(l4)
+    l4[~ok] = complex(np.nan, np.nan)
+    return l4, ok
 
 
 def _core(alpha, s, r, z, reciprocal):
     """(G, ok), or (F = 1/G, ok) with reciprocal: the branch-resolved
     composition, never raising.  Points where an intermediate lands on a
     cut (or the input is invalid) come back masked with ok=False and value
-    NaN.  A call wider than one block runs in blocks (see _in_blocks), each
-    taking its reciprocal while it is still in cache."""
+    NaN.  A call wider than one block runs in blocks (see _in_blocks)."""
     def block(zb):
-        if r == 1.0:  # the chain collapses to G = 1/z, a point mass at 0
-            ok = np.isfinite(zb) & (np.abs(zb) > CUT_TOL)
-            w = np.where(ok, zb, 1j)
-            return np.where(ok, w if reciprocal else 1.0 / w,
-                            complex(np.nan, np.nan)), ok
-        g, ok = _power(alpha, r, *_chain(alpha, s, r, zb, False))
-        return _reciprocal(g, ok) if reciprocal else (g, ok)
+        with np.errstate(all="ignore"):
+            if r == 1.0:  # the chain collapses to G = 1/z, a point mass at 0
+                ok = np.isfinite(zb) & (np.abs(zb) > CUT_TOL)
+                w = np.where(ok, zb, 1j)
+                return np.where(ok, w if reciprocal else 1.0 / w,
+                                complex(np.nan, np.nan)), ok
+            return _power(-alpha if reciprocal else alpha, r,
+                          *_chain(alpha, s, r, zb, False))
 
     z = np.asarray(z, dtype=complex)
     if z.size <= _BLOCK_POINTS:
@@ -403,7 +418,7 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     continuation degenerates (zero or infinity in an intermediate).  For
     r = 1, F^-1(z) = z: one keep call gets every column, phi exactly 0.
     The columns run in blocks (see _in_blocks), each continued along the
-    whole path but given its final power and reciprocal on the ys_desc
+    whole path but given its final power, F itself, on the ys_desc
     rows only, and keep must write only the columns it is given; the
     values do not depend on the thread count or the block size.
     """
@@ -433,12 +448,14 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     # continuation's memory bounded, and only the ys_desc rows are finished
     # and handed on
     def run(cols):
-        Z = xs[None, cols] + 1j * path[:, cols]
+        ys_b = path[:, cols]
+        Z = np.empty(ys_b.shape, dtype=complex)
+        Z.real, Z.imag = xs[cols] + 0.0, ys_b  # x + 1j*y, -0.0 made +0.0
         with np.errstate(all="ignore"):
             l4, ok_b = _chain(alpha, sp, rp, Z, True)
-            f_inv, ok_b = _reciprocal(*_power(alpha, rp, l4[rows],
-                                              ok_b[rows]))
-        keep(cols, f_inv - Z[rows], ok_b)
+            f_inv, ok_b = _power(-alpha, rp, l4[rows], ok_b[rows])
+        f_inv -= Z[rows]
+        keep(cols, f_inv, ok_b)
     _in_blocks(run, xs.size, len(path))
 
 
@@ -493,7 +510,8 @@ def series_G(params, z, N):
     direct composition cauchy_G is the reference elsewhere.
     """
     z = _upper(z)
-    t = np.exp(params.alpha * _log_upper_raw(-1.0 / z))
+    # (-1/z)**alpha on the upper-cut branch: arg -1/z = pi - arg z on C+
+    t = np.exp(params.alpha * (1j * (np.pi - np.angle(z)) - np.log(abs(z))))
     w = params.s * t / params.r
     if np.any(np.abs(w) >= 1.0):
         raise DomainError("outside the series region: need |s*(-1/z)^alpha/r| < 1")

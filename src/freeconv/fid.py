@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branches import _branch_log, _scalar, _unmasked
+from .branches import _log_parts, _scalar, _unmasked
 from .errors import ConvergenceError, DomainError, FreeconvError
 from .family import (_admissible_s, _core, _phi_tracked_block, _s_scale,
                      _stage1, _tracked_columns, _upper, _worst, phi_boundary,
@@ -184,7 +184,9 @@ def e_function(alpha, s, r, z):
     sense, so a zero of E inside the upper half-plane is a pole of the
     inverse map and rules out free infinite divisibility.
     """
-    lw = _unmasked(*_branch_log(*_stage1(alpha, s / r, z)))
+    with np.errstate(all="ignore"):
+        lr, th, ok = _log_parts(*_stage1(alpha, s / r, z), False, False)
+    lw = _unmasked(lr + 1j * th, ok)
     return _scalar((1.0 - np.exp(r * lw)) / s)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branches import _branch_log, _log_principal_raw, _scalar, _unmasked
+from .branches import _log_parts, _scalar, _unmasked
 from .errors import DomainError
 from .family import ANGLE_TOL, _admissible_s, _stage1, _upper
 
@@ -38,11 +38,15 @@ class StableParams:
 def _stable_core(alpha, s, z):
     """(F values, ok mask); vectorized, never raises."""
     z = np.asarray(z, dtype=complex)
-    w, ok = _stage1(alpha, s, z)
-    lw, ok = _branch_log(w, ok)
-    f = np.where(ok, z, 1j) * np.exp(lw / alpha)
+    with np.errstate(all="ignore"):
+        w, ok = _stage1(alpha, s, z)
+        lr, th, ok = _log_parts(w, ok, False, False)
+        np.multiply(lr, 1.0 / alpha, out=w.real)  # lw / alpha, as numpy
+        np.multiply(th, 1.0 / alpha, out=w.imag)
+        f = np.multiply(z, np.exp(w, out=w), out=w)
     ok &= np.isfinite(f)
-    return np.where(ok, f, complex(np.nan, np.nan)), ok
+    f[~ok] = complex(np.nan, np.nan)
+    return f, ok
 
 
 def stable_F(params, z):
@@ -114,7 +118,8 @@ def mp_cauchy(z):
     principal root has real part >= 0, so 1 + sqrt never vanishes.
     """
     z = _upper(z)
-    root = np.exp(0.5 * _log_principal_raw(1.0 - 4.0 / z))
+    lr, th, _ = _log_parts(1.0 - 4.0 / z, True, False, False)
+    root = np.exp(0.5 * (lr + 1j * th))
     return _scalar(2.0 / (z * (1.0 + root)))
 
 

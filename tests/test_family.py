@@ -473,6 +473,57 @@ def test_wide_calls_are_exact_in_any_blocks(monkeypatch):
             assert np.array_equal(a, b, equal_nan=True)
 
 
+def test_kernel_masks_at_edge_inputs():
+    # the ok masks of G, F and a one-row continuation on inputs at the
+    # edges of the float range and on each cut: a point is masked where
+    # z is not finite, |z| <= CUT_TOL, -1/z lands on its cut or a stage
+    # overflows, and the continuation refuses a row it cannot start
+    tiny = 5e-324
+    z = np.array([0j, complex(np.inf, 0.0), complex(-np.inf, 0.0),
+                  complex(np.nan, 0.0), complex(np.nan, 1.0),
+                  complex(np.inf, 1.0), complex(1.0, np.inf),
+                  1.0 + 1j * tiny, -1.0 + 1j * tiny,  # subnormal y
+                  1e-300 + 1e-300j, 1e-301j, 1e-310 + 1e-310j,
+                  1e300 + 1e300j, 1e305j, -1e300 + 1j,
+                  complex(-2.0, 0.0), complex(-2.0, -0.0),  # -1/z on its cut
+                  complex(2.0, 0.0)])
+    both = [0, 0, 0, 0, 0, 0, 0, 1, 0, None, 0, 0, 0, 0, 0, 0, 0, 1]
+    cont = ["D", "D", "D", "D", 0, "D", "D", 1, 0, 0, 0, 0, 0, 0, 0,
+            "D", "D", "D"]
+    for alpha, s, r in ((1.0, -1.0, 2.0), (2.0, 1.0, 2.0),
+                        (0.7, np.exp(0.8j * np.pi), 1.7)):
+        # u**alpha overflows at 1e-300(1+i) for alpha = 2 only
+        want = [int(alpha < 2.0) if m is None else m for m in both]
+        with np.errstate(all="ignore"):
+            for reciprocal in (False, True):
+                vals, ok = family._core(alpha, s, r, z, reciprocal)
+                assert ok.astype(int).tolist() == want, (alpha, reciprocal)
+                assert np.isnan(vals[~ok]).all()
+        got = []
+        for zk in z:
+            try:
+                got.append(int(_phi_tracked_block(alpha, s, r, [zk.real],
+                                                  [zk.imag])[1][0, 0]))
+            except DomainError:
+                got.append("D")
+        assert got == cont, alpha
+    # w2 = 1 - s*u**alpha lands on the principal cut at -1 for alpha = 1,
+    # z = i and s = 2*conj(u), where the product's imaginary part cancels
+    # exactly; the continuation cuts nothing
+    u = np.exp(np.array([0.5j * np.pi]))[0]
+    for reciprocal in (False, True):
+        assert not family._core(1.0, 2.0 * np.conj(u), 2.0, np.array([1j]),
+                                reciprocal)[1][0]
+    assert _phi_tracked_block(1.0, 2.0 * np.conj(u), 2.0, [0.0],
+                              [1.0])[1].all()
+    # w4 = (1 - w3)/s lands on its cut at 0 for (2, 1, 2) at 1e160i:
+    # u**2 underflows, so w2 and w3 are exactly 1
+    for reciprocal in (False, True):
+        assert not family._core(2.0, 1.0, 2.0, np.array([1e160j]),
+                                reciprocal)[1][0]
+    assert not _phi_tracked_block(2.0, 1.0, 2.0, [0.0], [1e160])[1].any()
+
+
 def test_pooled_blocks_keep_the_callers_error_state(monkeypatch):
     # numpy's error state is per thread: a block run on a pool worker
     # must still ignore what its caller ignores
