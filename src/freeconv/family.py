@@ -208,10 +208,13 @@ def _stage1(alpha, s, z):
     """(w, ok): the first stage w = 1 - v, v = s*(-1/z)**alpha on the
     upper-cut branch, in a new buffer; ok is False where z is invalid or
     -1/z = (-x + 1j*y)/|z|**2 lies on the cut, tested on z itself.  The
-    upper-cut log of -1/z is -log|z| + 1j*(pi - arg z), in [0, 2*pi]
-    with no division, lift or clamp.  Masked points are computed too,
-    under the caller's np.errstate (see _log_parts).  The power comes
-    first in the product: complex products round by operand order."""
+    upper-cut log of -1/z is -log|z| + 1j*arg(-x + 1j*y), lifted by 2*pi
+    below the axis, with no division, substitution or clamp; taking the
+    angle of -x + 1j*y, not pi - arg z, keeps it to full relative
+    precision next to the negative axis.  Masked points are computed
+    too, under the caller's np.errstate (see _log_parts).  The power
+    comes first in the product: complex products round by operand
+    order."""
     z = np.asarray(z, dtype=complex)
     az = np.abs(z, out=np.empty(z.shape))
     tol = az * CUT_TOL * az
@@ -219,8 +222,8 @@ def _stage1(alpha, s, z):
     w = np.empty_like(z)
     np.log(az, out=az)
     np.multiply(az, -alpha, out=w.real)
-    np.arctan2(z.imag, z.real, out=az)
-    np.subtract(np.pi, az, out=az)
+    np.arctan2(z.imag, np.negative(z.real, out=az), out=az)
+    np.add(az, 2.0 * np.pi, out=az, where=az < 0.0)
     np.multiply(az, alpha, out=w.imag)
     np.exp(w, out=w)
     w *= s  # v, kept apart from the 1 - v that cancels at large |z|
