@@ -267,12 +267,12 @@ def _core(alpha, s, r, z, reciprocal):
     cut (or the input is invalid) come back masked with ok=False and value
     NaN.  A call wider than one block runs in blocks (see _in_blocks)."""
     def block(zb):
+        if r == 1.0:  # the chain collapses to G = 1/z, a point mass at 0
+            ok = np.isfinite(zb) & (np.abs(zb) > CUT_TOL)
+            w = np.where(ok, zb, 1j)
+            return np.where(ok, w if reciprocal else 1.0 / w,
+                            complex(np.nan, np.nan)), ok
         with np.errstate(all="ignore"):
-            if r == 1.0:  # the chain collapses to G = 1/z, a point mass at 0
-                ok = np.isfinite(zb) & (np.abs(zb) > CUT_TOL)
-                w = np.where(ok, zb, 1j)
-                return np.where(ok, w if reciprocal else 1.0 / w,
-                                complex(np.nan, np.nan)), ok
             return _power(-alpha if reciprocal else alpha, r,
                           *_chain(alpha, s, r, zb, False))
 
