@@ -41,46 +41,34 @@ def _scalar(out):
     return out.item() if out.ndim == 0 else out
 
 
-def _unwrap_rows(p):
-    """np.unwrap(p, axis=0) of a float array, bit for bit, done in place
-    on p and returned, with the modular correction computed only where a
-    step down axis 0 is not below pi in size.
-
-    Continued arguments almost never jump, so the mod and the running sum
-    of corrections are skipped when nothing does.  A NaN step counts as a
-    jump, and its NaN correction spreads down the rest of its column.
-    """
-    dd = np.diff(p, axis=0)
-    small = np.abs(dd) < np.pi
-    # np.unwrap adds a correction of +0.0 to every row but the first,
-    # which turns -0.0 into +0.0
-    p[1:] += 0.0
+def _lift_rows(p, upper):
+    """Lift p, principal args in [-pi, pi] down axis 0, in place onto whole
+    sheets: each row becomes its arg plus 2*pi*k.  A column starts on k = 0,
+    or (upper) k = 1 where its first arg is not positive, and each step down
+    it of more than pi moves k one turn against the step, which always
+    suffices.  So a row's value is its arg's and k's alone, whatever path
+    led there.  A NaN step makes k, and the rest of its column, NaN."""
+    d = np.diff(p, axis=0)
+    small = np.abs(d) <= np.pi
+    k = (p[:1] <= 0.0) * float(upper)
     if not small.all():
-        jump = np.nonzero(~small)
-        d = dd[jump]
-        dmod = np.mod(d + np.pi, 2.0 * np.pi) - np.pi
-        dmod[(dmod == -np.pi) & (d > 0)] = np.pi
-        ph = np.zeros_like(dd)
-        ph[jump] = dmod - d
-        p[1:] += np.cumsum(ph, axis=0)
-    return p
+        k = np.concatenate((k, np.where(small, 0.0, -np.sign(d))))
+        np.cumsum(k, axis=0, out=k)
+    p += 2.0 * np.pi * k
 
 
 def _log_parts(w, ok, track, upper):
     """(log|w|, arg w, ok), the one log of the kernel, as two float arrays:
     arg on the principal branch, in (-pi, pi], or (upper) the upper-cut
     branch, in (0, 2*pi), with the points on the cut taken out of ok; or
-    with track, continued down axis 0 from the first row (lifted into
-    (0, 2*pi] for the upper branch), ok passing through.  Real parts let
-    the caller write its next exponent straight into its own buffer.
-    Masked and invalid points are computed like any other: a caller whose
-    w may hold them runs under an np.errstate that ignores what they
-    raise, and masks them by ok."""
+    with track, lifted down axis 0 onto whole sheets (see _lift_rows), ok
+    passing through.  Real parts let the caller write its next exponent
+    straight into its own buffer.  Masked and invalid points are computed
+    like any other: a caller whose w may hold them runs under an
+    np.errstate that ignores what they raise, and masks them by ok."""
     th = np.arctan2(w.imag, w.real, out=np.empty(w.shape))
     if track:
-        _unwrap_rows(th)
-        if upper:
-            np.add(th, 2.0 * np.pi, out=th, where=th[0] <= 0.0)
+        _lift_rows(th, upper)
     elif upper:
         ok = ok & ~on_upper_cut(w)
         np.add(th, 2.0 * np.pi, out=th, where=th <= 0.0)

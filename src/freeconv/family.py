@@ -234,8 +234,8 @@ def _chain(alpha, s, r, z, track):
     """(l4, ok): the composition up to l4 = log w4, the log of its last
     power base, each stage one pass over the buffer _stage1 made, which
     holds l4.  With track, z is a grid whose rows descend a path and the
-    arguments of both power bases are continued down its columns instead
-    of being cut (see _tracked_columns)."""
+    arguments of both power bases are lifted onto whole sheets down its
+    columns instead of being cut (see _tracked_columns)."""
     w, ok = _stage1(alpha, s, z)
     lr, th, ok = _log_parts(w, ok, track, False)
     # l2 / r, as numpy divides a complex array by a real: times 1/r
@@ -407,23 +407,25 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     truncated cone; descending toward the real axis its two non-integer
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
-    are lifted continuously (unwrapped) down a path (_paths), through the
-    rows ys_desc in steps of at most 1/24 decade down to 1e-4 of the
+    are lifted onto whole sheets (_lift_rows) down a path (_paths), through
+    the rows ys_desc in steps of at most 1/24 decade down to 1e-4 of the
     member's scale and half a decade below (coarser steps, or a knee at
     1e-3, let columns switch sheet), staying on the sheet of the cone
-    values.  ys_desc is a ladder for every column, whose one path starts
-    above the widest x, or of shape (1, xs.size), one height a column,
-    each down its own path from above its own x.  A path starts at
-    max(10*scale, 1.5*max|x| over its columns, its first y), which must be
-    finite: a first row that high is read off the composition.  ys_desc
-    must be finite, positive and strictly decreasing.  phi and ok have
-    rows matching ys_desc; a column is masked below any point where the
-    continuation degenerates (zero or infinity in an intermediate).  For
-    r = 1, F^-1(z) = z: one keep call gets every column, phi exactly 0.
-    The columns run in blocks (see _in_blocks), each continued along the
-    whole path but given its final power, F itself, on the ys_desc
-    rows only, and keep must write only the columns it is given; the
-    values do not depend on the thread count or the block size.
+    values.  A row's value is its point's and its two sheets' alone, so
+    paths that take it to the same sheets give it bit for bit.  ys_desc is
+    a ladder for every column, whose one path starts above the widest x, or
+    of shape (1, xs.size), one height a column, each down its own path from
+    above its own x.  A path starts at max(10*scale, 1.5*max|x| over its
+    columns, its first y), which must be finite: a first row that high is
+    read off the composition.  ys_desc must be finite, positive and
+    strictly decreasing.  phi and ok have rows matching ys_desc; a column
+    is masked below any point where the continuation degenerates (zero or
+    infinity in an intermediate).  For r = 1, F^-1(z) = z: one keep call
+    gets every column, phi exactly 0.  The columns run in blocks (see
+    _in_blocks), each continued along the whole path but given its final
+    power, F itself, on the ys_desc rows only, and keep must write only the
+    columns it is given; the values do not depend on the thread count or
+    the block size.
     """
     xs = np.asarray(xs, dtype=float).ravel()
     ys = np.ascontiguousarray(ys_desc, dtype=float)

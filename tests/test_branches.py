@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeconv import BranchCutError, ConvergenceError, DomainError
-from freeconv.branches import (_unwrap_rows, binom_coeff, binom_series,
+from freeconv.branches import (_lift_rows, binom_coeff, binom_series,
                                log_principal, log_upper, pow_principal,
                                pow_upper)
 
@@ -151,30 +151,40 @@ def test_vectorized_forms():
                                [2.0, np.exp(1j * np.pi / 4)], atol=1e-15)
 
 
-def test_unwrap_rows_is_numpy_unwrap():
-    # bit for bit, sign of zero included, on steps that jump, steps of
-    # exactly +-pi, and NaN and inf, which poison the rest of a column;
-    # the reference reads p before _unwrap_rows overwrites it
-    special = np.array([np.nan, np.inf, -np.inf, np.pi, -np.pi, 0.0, -0.0,
-                        2.0 * np.pi, np.nextafter(np.pi, 0.0),
-                        np.nextafter(np.pi, 4.0)])
+def test_lift_rows_takes_whole_turns():
+    # each row is its principal arg plus 2*pi*k, bit for bit, where k is
+    # the whole number of turns np.unwrap finds, plus the upper branch's
+    # starting turn; so the lift is np.unwrap within 1e-13 on args in
+    # [-pi, pi], steps of exactly +-pi and signed zeros included
+    special = np.array([np.pi, -np.pi, 0.0, -0.0, np.nextafter(np.pi, 0.0),
+                        np.nextafter(-np.pi, 0.0)])
     rng = np.random.default_rng(5)
-    for k in range(500):
+    for n in range(600):
         shape = (int(rng.integers(1, 30)),) + ((int(rng.integers(1, 9)),)
-                                                if k % 3 else ())
-        if k % 4 == 0:
-            p = np.cumsum(rng.choice([0.0, np.pi, -np.pi, -0.0], shape),
-                          axis=0)
-        elif k % 4 == 1:  # no jump at all
+                                                if n % 3 else ())
+        if n % 4 == 0:  # steps of exactly +-pi
+            p = rng.choice([np.pi, -np.pi, 0.0, -0.0], shape)
+        elif n % 4 == 1:  # no jump at all
             p = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], shape)
         else:
-            p = rng.uniform(-12.0, 12.0, shape)
-        if k % 4 > 1:
+            p = rng.uniform(-np.pi, np.pi, shape)
             hit = rng.random(shape) < 0.2
             p[hit] = rng.choice(special, int(hit.sum()))
+        upper = bool(n % 2)
+        start = 2.0 * np.pi * (upper & (p[:1] <= 0.0))
+        unwrapped = np.unwrap(p, axis=0)
+        k = np.round((unwrapped + start - p) / (2.0 * np.pi))
+        got = p.copy()
+        _lift_rows(got, upper)
+        assert np.array_equal(got, p + 2.0 * np.pi * k), p
+        assert np.all(np.abs(got - start - unwrapped) <= 1e-13), p
+    # a NaN row poisons its column from there down, and only it
+    p = rng.uniform(-np.pi, np.pi, (20, 6))
+    p[[3, 0, 19], [1, 4, 5]] = np.nan
+    for upper in (False, True):
+        got = p.copy()
         with np.errstate(invalid="ignore"):
-            want = np.unwrap(p, axis=0)
-            got = _unwrap_rows(p)  # in place
-        assert got is p
-        assert np.array_equal(got, want, equal_nan=True), p
-        assert np.array_equal(np.signbit(got), np.signbit(want)), p
+            _lift_rows(got, upper)
+        first = np.array([20, 3, 20, 20, 0, 19])
+        assert np.array_equal(np.isnan(got),
+                              np.arange(20)[:, None] >= first), got

@@ -123,6 +123,20 @@ def test_density_s_mod_arg_spelling(capsys):
     assert all(len(line.split()) == 2 for line in body)
 
 
+def test_s_mod_arg_is_the_polar_s(capsys):
+    # the polar spelling builds the member --s names: a fid report of the
+    # same bytes, and G of the same value
+    base = ("--alpha", "1", "--r", "3")
+    fid = ("fid",) + base + ("--nx", "40", "--ny", "20")
+    polar = run(capsys, *fid, "--s-mod", "3", "--s-arg", "0")
+    assert polar == run(capsys, *fid, "--s", "3") and polar[0] == 0
+    g = ("eval", "--transform", "G") + base + ("--z", "1i")
+    want = (0, "-3.5967940905432166e-17 -0.58740105196819936\n", "")
+    assert run(capsys, *g, "--s-mod", "3", "--s-arg",
+               "1.5707963267948966") == want
+    assert run(capsys, *g, "--s", "3i") == want
+
+
 def test_density_cauchy_mix_near_zero(capsys):
     code, out, err = run(capsys, "density", "--measure", "cauchy-mix",
                          "--xmin=-1e-160", "--xmax=1e-160", "--n", "4")
@@ -169,6 +183,8 @@ def test_config_errors_exit_2(capsys, monkeypatch):
         # --s-arg means nothing without --s-mod
         ("eval", "--transform", "G", "--alpha", "1", "--s=-1", "--s-arg",
          "1.0", "--r", "2", "--z", "2i"),
+        ("fid", "--alpha", "1", "--s-arg", "1", "--r", "3"),
+        ("fid", "--alpha", "1", "--s", "3", "--s-mod", "3", "--r", "3"),
     ]
     # size minimums: --n 1, fid --nx/--ny 2
     density = ("density", "--alpha", "1", "--s", "-1", "--r", "2",

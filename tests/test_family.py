@@ -643,13 +643,22 @@ def test_path_passes_through_the_rows():
     assert idx[0] == 24 * 7 + 14 and idx[1] == idx[0] + 1
 
 
+def _reads_alike(alpha, s, r, xs, ladder):
+    """The continuation at the read heights 2e-13 and 1e-13, down the
+    default path and down one through the rows of ladder, which ends on
+    them: the same ok masks, and phi bit for bit where ok."""
+    phi, ok = _phi_tracked_block(alpha, s, r, xs, [2e-13, 1e-13])
+    ref, ok_ref = _phi_tracked_block(alpha, s, r, xs, ladder)
+    assert np.array_equal(ok, ok_ref[-2:]), (alpha, s, r)
+    assert np.array_equal(phi[ok], ref[-2:][ok]), (alpha, s, r)
+
+
 def test_knee_matches_dense_rows():
     # below the knee, 1e-4 of the member's scale, the path takes 2 steps a
     # decade; handing the continuation rows 24 a decade from the knee down
     # makes its path dense there, and identical above: the two agree on
     # the read heights, on members with alpha > 1, r = 2, an E zero in C+
     # and the beta line
-    rows = np.array([2e-13, 1e-13])
     for alpha, s, r in ((1.7, 1.0, 4.0), (1.3, np.exp(1j * np.pi / 6), 2.5),
                         (2.0, 1.0, 2.0), (0.5, -1.0, 2.0), (1.0, -1.0, 1.5),
                         (1.5, np.exp(0.3j), 2.5)):
@@ -661,15 +670,23 @@ def test_knee_matches_dense_rows():
             knee, 2e-13, int(np.ceil(24.0 * np.log10(knee / 2e-13))) + 1),
             [1e-13]])
         xmin, xmax, _, _ = default_fid_rect(p)
-        xs = np.linspace(xmin, xmax, 201)
-        phi, ok = _phi_tracked_block(alpha, s, r, xs, rows)
-        ref, ok_ref = _phi_tracked_block(alpha, s, r, xs, dense)
-        ref, ok_ref = ref[-2:], ok_ref[-2:]
-        assert np.array_equal(ok, ok_ref), (alpha, s, r)
-        # relative to F^-1 = phi + z, whose rounding phi inherits
-        finv = np.abs(ref + xs + 1j * rows[:, None])
-        assert np.all(np.abs(phi - ref)[ok] <= 1e-13 * finv[ok]), (alpha, s,
-                                                                   r)
+        _reads_alike(alpha, s, r, np.linspace(xmin, xmax, 201), dense)
+
+
+def test_phi_does_not_depend_on_the_path():
+    # a row's value is its point's and the sheets of w2 and w4 alone: rows
+    # 37 a decade from 10 down, a path other than the default one through
+    # the read heights, give phi bit for bit, over members with alpha > 1,
+    # r = 2, E zeros in C+, non-integer alpha and r, and the beta line
+    ladder = np.append(np.geomspace(10.0, 2e-13, 508), 1e-13)
+    for alpha, s, r in ((1.7, 1.0, 4.0), (1.3, np.exp(1j * np.pi / 6), 2.5),
+                        (2.0, 1.0, 2.0), (0.5, -1.0, 2.0), (1.0, -1.0, 1.5),
+                        (1.5, np.exp(0.3j), 2.5), (1.0, -1.0, 2.0),
+                        (0.7, np.exp(0.8j * np.pi), 1.7), (1.0, 3j, 3.0),
+                        (0.5, np.exp(2j * np.pi / 3), 3.0), (1.0, -3.0, 3.0),
+                        (1.8, np.exp(0.1j * np.pi), 2.6)):
+        xmin, xmax, _, _ = default_fid_rect(FamilyParams(alpha, s, r))
+        _reads_alike(alpha, s, r, np.linspace(xmin, xmax, 2001), ladder)
 
 
 def test_phi_boundary_rejects_bad_ladder():

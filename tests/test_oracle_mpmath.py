@@ -1,12 +1,14 @@
 """The branch-resolved kernel against an independent 40-digit port of its
 branch conventions in mpmath.
 
-The port evaluates the composition of family.py's module docstring at
-the kernel's own float input z, so the only difference left is the
-kernel's rounding: a slip onto another branch, or a lost sheet, reads
-O(1).  Large |z|, where `1 - w2**(1/r)` cancels (ROADMAP item 8), stays
-with the strict xfail `test_phi_and_scan_at_large_z`; every point here
-has |z| <= 20.
+The port evaluates the composition of family.py's module docstring, the
+stable law's F and E at the kernel's own float input z, so the only
+difference left is the kernel's rounding: a slip onto another branch, or
+a lost sheet, reads O(1).  The continuation below the cone is checked on
+the r = 2 members, whose inverse map has a closed form single-valued on
+C+, so its port tracks no sheet.  Large |z|, where `1 - w2**(1/r)`
+cancels (ROADMAP item 8), stays with the strict xfail
+`test_phi_and_scan_at_large_z`; every point here has |z| <= 20.
 """
 
 import numpy as np
@@ -15,7 +17,10 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
+from freeconv import FamilyParams, voiculescu_phi  # noqa: E402
 from freeconv.family import _core  # noqa: E402
+from freeconv.fid import e_function  # noqa: E402
+from freeconv.stable_poisson import _stable_core  # noqa: E402
 
 # fixed before the run: both kernels' worst relative error on |z| <= 20
 # was about 2e-14, and a branch slip is O(1)
@@ -29,6 +34,11 @@ MEMBERS = [(1.0, -1.0, 2.0), (2.0, 1.0, 2.0),
            (1.3, 1.0, 2.0), (1.0, -1.0, 1.5),
            (1.8, np.exp(0.1j * np.pi), 2.6), (0.5, -1.0, 2.0)]
 
+# (alpha, s) of r = 2 members across alpha in [0.5, 2] and the sector
+R2_MEMBERS = [(0.5, -1.0), (0.5, 1j), (0.7, np.exp(0.8j * np.pi)),
+              (1.0, -1.0), (1.0, 3j), (1.0, 1.0), (1.3, 1.0),
+              (1.5, np.exp(0.3j)), (1.8, np.exp(0.1j * np.pi)), (2.0, 1.0)]
+
 
 def _log_upper(w):
     arg = mpmath.arg(w)
@@ -37,14 +47,43 @@ def _log_upper(w):
     return mpmath.mpc(mpmath.log(abs(w)), arg)
 
 
+def _w2(alpha, s, z):
+    """1 - s*(-1/z)**alpha, the first stage, at 40 digits."""
+    with mpmath.workdps(40):
+        return 1 - mpmath.mpc(s) * mpmath.exp(mpmath.mpf(alpha)
+                                              * _log_upper(-1 / mpmath.mpc(z)))
+
+
 def _stages(alpha, s, r, z):
     """(w2, w4, G) of the composition at 40 digits."""
     with mpmath.workdps(40):
-        alpha, r = mpmath.mpf(alpha), mpmath.mpf(r)
-        s, z = mpmath.mpc(s), mpmath.mpc(z)
-        w2 = 1 - s * mpmath.exp(alpha * _log_upper(-1 / z))
+        w2 = _w2(alpha, s, z)
+        alpha, r, s = mpmath.mpf(alpha), mpmath.mpf(r), mpmath.mpc(s)
         w4 = (1 - mpmath.exp(mpmath.log(w2) / r)) / s
         return w2, w4, -r ** (1 / alpha) * mpmath.exp(_log_upper(w4) / alpha)
+
+
+def _stable_F(alpha, s, z):
+    """F(z) = z*(1 - s*(-1/z)**alpha)**(1/alpha) of the stable law."""
+    with mpmath.workdps(40):
+        return mpmath.mpc(z) * mpmath.exp(mpmath.log(_w2(alpha, s, z))
+                                          / mpmath.mpf(alpha))
+
+
+def _E(alpha, s, r, z):
+    """E(z) = (1 - (1 - (s/r)*(-1/z)**alpha)**r)/s."""
+    with mpmath.workdps(40):
+        w = _w2(alpha, mpmath.mpc(s) / r, z)
+        return (1 - mpmath.exp(r * mpmath.log(w))) / mpmath.mpc(s)
+
+
+def _finv_r2(alpha, s, z):
+    """F^-1 of the r = 2 member, z**2 G_a(z) for the stable law a at s/4:
+    z / (1 - (s/4)*(-1/z)**alpha)**(1/alpha), whose base stays off
+    (-inf, 0] for z in C+ and an admissible s."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z)
+        return z * z / _stable_F(alpha, mpmath.mpc(s) / 4, z)
 
 
 def _preimages(alpha, s, w2):
@@ -89,20 +128,25 @@ def _points(alpha, s, r, seed):
     return z[np.abs(z) <= 20.0]
 
 
-def _near_cuts(alpha, s, r, z):
-    """How many points of z put w2 next to its cut, and w4 next to its."""
-    near = np.zeros(2, dtype=int)
+def _near_cuts(alpha, s, r, z, z_e):
+    """How many points of z put w2 next to its cut, and w4 next to its,
+    and how many of z_e put E's first stage next to the cut of w2."""
+    near = np.zeros(3, dtype=int)
     for zk in z:
         w2, w4, _ = _stages(alpha, s, r, zk)
-        near += (abs(w2.imag) < 1e-6 * abs(w2) and w2.real < 0,
-                 abs(w4.imag) < 1e-6 * abs(w4) and w4.real > 0)
+        near[:2] += (abs(w2.imag) < 1e-6 * abs(w2) and w2.real < 0,
+                     abs(w4.imag) < 1e-6 * abs(w4) and w4.real > 0)
+    for zk in z_e:
+        w = _w2(alpha, s / r, zk)
+        near[2] += abs(w.imag) < 1e-6 * abs(w) and w.real < 0
     return near
 
 
 def test_the_points_reach_each_cut():
-    near = np.array([_near_cuts(*m, _points(*m, seed=8 + k))
+    near = np.array([_near_cuts(*m, _points(*m, seed=8 + k),
+                                _points(m[0], m[1] / m[2], m[2], seed=8 + k))
                      for k, m in enumerate(MEMBERS)])
-    assert np.count_nonzero(near >= 4, axis=0).tolist() >= [6, 6], near
+    assert np.count_nonzero(near >= 4, axis=0).tolist() >= [6, 6, 6], near
 
 
 @pytest.mark.parametrize("member", MEMBERS, ids=str)
@@ -118,3 +162,42 @@ def test_kernel_matches_the_mpmath_port(member):
         for got, ref in ((g[k], want), (f[k], 1 / want)):
             err = abs(mpmath.mpc(got) - ref) / abs(ref)
             assert err < BOUND, (zk, got, complex(ref), float(err))
+
+
+def _assert_matches(got, z, port, plus_z=False):
+    """Each got within BOUND of port(z), relative; with plus_z, got + z,
+    summed at 40 digits."""
+    for gk, zk in zip(got, z):
+        ref = port(zk)
+        with mpmath.workdps(40):
+            err = abs(mpmath.mpc(gk) + plus_z * mpmath.mpc(zk) - ref) \
+                / abs(ref)
+        assert err < BOUND, (zk, gk, complex(ref), float(err))
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=str)
+def test_stable_law_and_E_match_the_port(member):
+    # the stable law's F shares the composition's first stage, and so its
+    # points next to the cut of w2; E's first stage is at s/r, whose
+    # points are made for it
+    alpha, s, r = member
+    seed = 8 + MEMBERS.index(member)
+    z = _points(alpha, s, r, seed)
+    f, ok = _stable_core(alpha, s, z)
+    assert ok.all()
+    _assert_matches(f, z, lambda zk: _stable_F(alpha, s, zk))
+    z = _points(alpha, s / r, r, seed)
+    _assert_matches(e_function(alpha, s, r, z), z,
+                    lambda zk: _E(alpha, s, r, zk))
+
+
+@pytest.mark.parametrize("member", R2_MEMBERS, ids=str)
+def test_continuation_matches_the_r2_closed_form(member):
+    # F^-1 = phi + z below the cone, down to y = 1e-13, where a column
+    # that lost its sheet reads O(1)
+    alpha, s = member
+    z = _points(alpha, s, 2.0, seed=30 + R2_MEMBERS.index(member))
+    z = z[z.imag > 0.0]
+    assert z.size > 200 and z.imag.min() < 1e-12
+    phi = voiculescu_phi(FamilyParams(alpha, s, 2.0), z)
+    _assert_matches(phi, z, lambda zk: _finv_r2(alpha, s, zk), plus_z=True)
