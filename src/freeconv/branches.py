@@ -41,13 +41,16 @@ def _scalar(out):
     return out.item() if out.ndim == 0 else out
 
 
-def _lift_rows(p, upper):
+def _lift_rows(p, upper, watch, turns):
     """Lift p, principal args in [-pi, pi] down axis 0, in place onto whole
     sheets: each row becomes its arg plus 2*pi*k.  A column starts on k = 0,
     or (upper) k = 1 where its first arg is not positive, and each step down
     it of more than pi moves k one turn against the step, which always
     suffices.  So a row's value is its arg's and k's alone, whatever path
-    led there.  A NaN step makes k, and the rest of its column, NaN."""
+    led there.  A NaN step makes k, and the rest of its column, NaN.  The
+    columns that turn, where a step of watch, a slice of the steps (step i
+    goes from row i to i + 1), moved the lifted arg by more than pi/3 or is
+    NaN, are appended to the list turns as booleans, if there are any."""
     d = np.diff(p, axis=0)
     small = np.abs(d) <= np.pi
     k = (p[:1] <= 0.0) * float(upper)
@@ -55,20 +58,27 @@ def _lift_rows(p, upper):
         k = np.concatenate((k, np.where(small, 0.0, -np.sign(d))))
         np.cumsum(k, axis=0, out=k)
     p += 2.0 * np.pi * k
+    # a lifted step differs from d by whole turns: it has d's cosine, below
+    # 1/2 where it is more than pi/3
+    c = np.cos(d[watch])
+    if not np.minimum.reduce(c, axis=None, initial=1.0) >= 0.5:
+        turns.append(~(c >= 0.5).all(axis=0))
 
 
 def _log_parts(w, ok, track, upper):
     """(log|w|, arg w, ok), the one log of the kernel, as two float arrays:
     arg on the principal branch, in (-pi, pi], or (upper) the upper-cut
     branch, in (0, 2*pi), with the points on the cut taken out of ok; or
-    with track, lifted down axis 0 onto whole sheets (see _lift_rows), ok
-    passing through.  Real parts let the caller write its next exponent
-    straight into its own buffer.  Masked and invalid points are computed
-    like any other: a caller whose w may hold them runs under an
-    np.errstate that ignores what they raise, and masks them by ok."""
+    with track, a pair (watch, turns), lifted down axis 0 onto whole
+    sheets, ok passing through, the columns a step of watch turned
+    appended to the list turns (see _lift_rows).  Real parts let the
+    caller write its next exponent straight into its own buffer.  Masked
+    and invalid points are computed like any other: a caller whose w may
+    hold them runs under an np.errstate that ignores what they raise, and
+    masks them by ok."""
     th = np.arctan2(w.imag, w.real, out=np.empty(w.shape))
     if track:
-        _lift_rows(th, upper)
+        _lift_rows(th, upper, *track)
     elif upper:
         ok = ok & ~on_upper_cut(w)
         np.add(th, 2.0 * np.pi, out=th, where=th <= 0.0)

@@ -20,6 +20,7 @@ holds on truncated cones for any r, u > 0.
 
 import functools
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
@@ -35,6 +36,12 @@ ANGLE_TOL = 1e-12
 # for a block's temporaries to stay in cache, large enough for numpy to
 # release the GIL for most of its time
 _BLOCK_POINTS = 2 ** 15
+
+# steps a decade of the continuation's path above its knee (see
+# _tracked_columns): every column walks the coarse one, and a column a
+# coarse step turned walks the dense one again
+_COARSE_STEPS = 6
+_PATH_STEPS = 24
 
 
 def _thread_count():
@@ -233,9 +240,10 @@ def _stage1(alpha, s, z):
 def _chain(alpha, s, r, z, track):
     """(l4, ok): the composition up to l4 = log w4, the log of its last
     power base, each stage one pass over the buffer _stage1 made, which
-    holds l4.  With track, z is a grid whose rows descend a path and the
-    arguments of both power bases are lifted onto whole sheets down its
-    columns instead of being cut (see _tracked_columns)."""
+    holds l4.  With track, a pair (watch, turns), z is a grid whose rows
+    descend a path and the arguments of both power bases are lifted onto
+    whole sheets down its columns instead of being cut, the columns a
+    step of watch turned appended to turns (see _tracked_columns)."""
     w, ok = _stage1(alpha, s, z)
     lr, th, ok = _log_parts(w, ok, track, False)
     # l2 / r, as numpy divides a complex array by a real: times 1/r
@@ -362,17 +370,21 @@ def voiculescu_phi(params, z):
     return _scalar(phi)
 
 
-def _paths(y_top, ys, knee):
-    """(path, rows): a column per column of ys, a ladder of shape (m, 1) or
-    one row a column, (1, n).  Column j is y_top[j], then ys[:, j] with
-    each gap split at the knee into equal steps in log y, 24 or more a
-    decade above it, 2 a decade below (a gap of length 0, or of rows an
-    ulp apart, which can share a log, gets one), padded above with
-    y_top[j] to the longest column, so that path[rows, j] == ys[:, j]
-    exactly.  A padded row repeats its column's first and so continues
-    nothing.  The columns are laid end to end in one np.interp call, which
-    gives each what it gives it alone.  Logs, not ratios, which overflow
-    for subnormal rows."""
+def _paths(y_top, ys, knee, per_decade):
+    """(path, rows, watch): a column per column of ys, a ladder of shape
+    (m, 1) or one row a column, (1, n).  Column j is y_top[j], then
+    ys[:, j] with each gap split at the knee into equal steps in log y,
+    per_decade or more a decade above it, 2 a decade below (a gap of
+    length 0, or of rows an ulp apart, which can share a log, gets one),
+    padded above with y_top[j] to the longest column, so that
+    path[rows, j] == ys[:, j] exactly.  A padded row repeats its column's
+    first and so continues nothing.  The columns are laid end to end in
+    one np.interp call, which gives each what it gives it alone.  Logs,
+    not ratios, which overflow for subnormal rows.  watch, the steps (step
+    i goes from path[i] to path[i + 1]) from the top down to the last one
+    of a gap that _PATH_STEPS a decade would split more finely, holds
+    every step wider than 1/_PATH_STEPS decade above the knee: the only
+    steps that differ from the path at that density, which has none."""
     ends = np.concatenate((y_top[None, :], ys))
     logs = np.log10(ends)
     hi, lo = logs[:-1], logs[1:]
@@ -381,11 +393,16 @@ def _paths(y_top, ys, knee):
     knots, fp = np.zeros((2, 2 * len(ys) + 1, ys.shape[1]))
     fp[::2], mid = logs, fp[1::2]
     np.minimum(np.maximum(lo, float(np.log10(knee))), hi, out=mid)
-    dense = knots[1::2]
-    np.ceil(24.0 * (hi - mid), out=dense)
+    span, dense = hi - mid, knots[1::2]
+    np.ceil(per_decade * span, out=dense)
+    wide = _PATH_STEPS * span > dense  # ceil(24 * span) > dense, exactly
     np.maximum(np.ceil(2.0 * (mid - lo)), 1.0 - dense, out=knots[2::2])
     np.add.accumulate(knots, out=knots)
     size = int(knots[-1].max()) + 1
+    # a wide gap's steps end at its knee point, moved down by its column's
+    # padding, size - 1 - knots[-1] rows
+    last = np.maximum.reduce(knots[1::2] - knots[-1], axis=None,
+                             initial=1.0 - size, where=wide)
     # lay the columns end to end, each ending on its last position
     knots += np.arange(size - 1.0, size * ys.shape[1], size) - knots[-1]
     at = np.arange(float(size * ys.shape[1]))
@@ -394,7 +411,7 @@ def _paths(y_top, ys, knee):
     path = flat.reshape(-1, size).T
     np.copyto(path, y_top, where=at.reshape(-1, size).T < knots[0])
     # column 0 sits at position 0; its ys rows are every column's
-    return path, knots[2::2, 0].astype(np.intp)
+    return path, knots[2::2, 0].astype(np.intp), slice(0, int(last) + size - 1)
 
 
 def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
@@ -408,11 +425,18 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
     powers can cross their cuts, silently switching sheets.  Each column
     therefore starts inside the cone and the arguments of both power bases
     are lifted onto whole sheets (_lift_rows) down a path (_paths), through
-    the rows ys_desc in steps of at most 1/24 decade down to 1e-4 of the
-    member's scale and half a decade below (coarser steps, or a knee at
-    1e-3, let columns switch sheet), staying on the sheet of the cone
-    values.  A row's value is its point's and its two sheets' alone, so
-    paths that take it to the same sheets give it bit for bit.  ys_desc is
+    the rows ys_desc, staying on the sheet of the cone values.  A row's
+    value is its point's and its two sheets' alone, so paths that take it
+    to the same sheets give it bit for bit.  The dense path takes steps of
+    at most 1/24 decade down to the knee at 1e-4 of the member's scale and
+    half a decade below (coarser steps, or a knee at 1e-3, let columns
+    switch sheet).  Every column first walks the coarse path, at most 1/6
+    decade a step above the knee, which differs from the dense one only in
+    the steps wider than 1/24 decade there; a column where such a step
+    moves the lifted arg of w2 or w4 by more than pi/3 is walked again
+    down the dense path, built once for the call when a first column
+    needs it.  Both the pi/3 test and 24 a decade are heuristics, checked
+    on the member atlas, not bounds.  ys_desc is
     a ladder for every column, whose one path starts above the widest x, or
     of shape (1, xs.size), one height a column, each down its own path from
     above its own x.  A path starts at max(10*scale, 1.5*max|x| over its
@@ -446,21 +470,40 @@ def _tracked_columns(alpha, s, r, xs, ys_desc, keep):
         y_top = np.fmax(np.fmax(10.0 * scale, 1.5 * xmax), ys[0])
     if not np.isfinite(y_top).all():
         raise DomainError("the path start overflows: |s| or |x| too large")
-    path, rows = _paths(y_top, ys, 1e-4 * scale)
+    knee = 1e-4 * scale
+    path, rows, watch = _paths(y_top, ys, knee, _COARSE_STEPS)
     path = np.broadcast_to(path, (len(path), xs.size))
+    dense, lock = [], threading.Lock()
+
+    def walk(cols, path, rows, watch):
+        """(phi, ok, turns) of the columns cols down path, turns the list
+        of the columns a step of watch turned (see _lift_rows)."""
+        ys_b = path[:, cols]
+        Z = np.empty(ys_b.shape, dtype=complex)
+        Z.real, Z.imag = xs[cols] + 0.0, ys_b  # x + 1j*y, -0.0 made +0.0
+        turns = []
+        with np.errstate(all="ignore"):
+            l4, ok_b = _chain(alpha, sp, rp, Z, (watch, turns))
+            f_inv, ok_b = _power(-alpha, rp, l4[rows], ok_b[rows])
+        f_inv -= Z[rows]
+        return f_inv, ok_b, turns
 
     # columns are continued independently: blocks of them keep the
     # continuation's memory bounded, and only the ys_desc rows are finished
     # and handed on
     def run(cols):
-        ys_b = path[:, cols]
-        Z = np.empty(ys_b.shape, dtype=complex)
-        Z.real, Z.imag = xs[cols] + 0.0, ys_b  # x + 1j*y, -0.0 made +0.0
-        with np.errstate(all="ignore"):
-            l4, ok_b = _chain(alpha, sp, rp, Z, True)
-            f_inv, ok_b = _power(-alpha, rp, l4[rows], ok_b[rows])
-        f_inv -= Z[rows]
-        keep(cols, f_inv, ok_b)
+        phi, ok_b, turns = walk(cols, path, rows, watch)
+        if turns:
+            turned = np.any(turns, axis=0)
+            with lock:  # the dense path, built once, by the first block
+                if not dense:
+                    d_path, d_rows, _ = _paths(y_top, ys, knee, _PATH_STEPS)
+                    dense.extend((np.broadcast_to(
+                        d_path, (len(d_path), xs.size)), d_rows))
+            again = np.flatnonzero(turned) + cols.start
+            phi[:, turned], ok_b[:, turned], _ = walk(again, *dense,
+                                                      slice(0))
+        keep(cols, phi, ok_b)
     _in_blocks(run, xs.size, len(path))
 
 

@@ -363,7 +363,7 @@ def tau_interval_mass(params, u, v):
 
 def tau_atom(params, x):
     """tau({x}) = lim iy phi(x+iy) / (1 + x**2), read off F^-1 = phi + z,
-    the same limit without phi's -z, which adds -2y**2 to the step."""
+    the same limit without phi's -z, whose rounding the step would keep."""
     x = float(x)
     return _atom_limit(lambda ys: phi_boundary(params, x, ys) + (x + 1j * ys),
                        x, 1e-6) / (1.0 + x ** 2)

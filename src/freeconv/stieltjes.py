@@ -55,12 +55,14 @@ def _inversion(G, xs):
 
 
 def _atom_limit(samples, x, tol):
-    """lim iy*g(x+iy) by the same step at y = 1e-6 max(1, |x|), which
-    trades the kernel's eps/y loss near a pole against the step's O(y**2)
-    bias; samples(ys) = g(x + 1j*ys); an Im above tol (relative) raises."""
-    ys = np.array([2e-6, 1e-6]) * max(1.0, abs(x))
-    v2, v1 = 1j * ys * samples(ys)
-    val = 2.0 * v1 - v2
+    """lim iy*g(x+iy) from v = iy*g at y, 2y and 4y, y = 1e-6 max(1, |x|),
+    as (8 v(y) - 6 v(2y) + v(4y))/3, which removes the O(y) and O(y**2)
+    terms of v and so trades the kernel's eps/y loss near a pole against
+    an O(y**3) bias; samples(ys) = g(x + 1j*ys); an Im above tol
+    (relative) raises."""
+    ys = np.array([4e-6, 2e-6, 1e-6]) * max(1.0, abs(x))
+    v4, v2, v1 = 1j * ys * samples(ys)
+    val = (8.0 * v1 - 6.0 * v2 + v4) / 3.0
     if abs(val.imag) > tol * (1.0 + abs(val.real)):
         raise ConvergenceError("the atom limit lim iy*g(x+iy) kept an "
                                "imaginary part")

@@ -155,7 +155,8 @@ def test_lift_rows_takes_whole_turns():
     # each row is its principal arg plus 2*pi*k, bit for bit, where k is
     # the whole number of turns np.unwrap finds, plus the upper branch's
     # starting turn; so the lift is np.unwrap within 1e-13 on args in
-    # [-pi, pi], steps of exactly +-pi and signed zeros included
+    # [-pi, pi], steps of exactly +-pi and signed zeros included; a column
+    # turns where a step of the watched slice moves the lift over pi/3
     special = np.array([np.pi, -np.pi, 0.0, -0.0, np.nextafter(np.pi, 0.0),
                         np.nextafter(-np.pi, 0.0)])
     rng = np.random.default_rng(5)
@@ -175,16 +176,27 @@ def test_lift_rows_takes_whole_turns():
         unwrapped = np.unwrap(p, axis=0)
         k = np.round((unwrapped + start - p) / (2.0 * np.pi))
         got = p.copy()
-        _lift_rows(got, upper)
+        watch = slice(int(rng.integers(0, 3)), int(rng.integers(0, 30)))
+        turns = []
+        _lift_rows(got, upper, watch, turns)
         assert np.array_equal(got, p + 2.0 * np.pi * k), p
         assert np.all(np.abs(got - start - unwrapped) <= 1e-13), p
-    # a NaN row poisons its column from there down, and only it
-    p = rng.uniform(-np.pi, np.pi, (20, 6))
+        # a column turns where a watched step of the lift exceeds pi/3, and
+        # the columns are reported only if one does
+        steps = np.abs(np.diff(unwrapped, axis=0))[watch]
+        want = np.any(steps > np.pi / 3.0, axis=0)
+        assert len(turns) == int(np.any(want))
+        assert not turns or np.array_equal(turns[0], want)
+    # a NaN row poisons its column from there down, and only it; args that
+    # barely move turn no column but the one with a NaN step watched
+    p = rng.uniform(-0.5, 0.5, (20, 6))
     p[[3, 0, 19], [1, 4, 5]] = np.nan
     for upper in (False, True):
         got = p.copy()
+        turns = []
         with np.errstate(invalid="ignore"):
-            _lift_rows(got, upper)
+            _lift_rows(got, upper, slice(2, 4), turns)
         first = np.array([20, 3, 20, 20, 0, 19])
         assert np.array_equal(np.isnan(got),
                               np.arange(20)[:, None] >= first), got
+        assert np.array_equal(turns, [[False, True] + [False] * 4])

@@ -277,20 +277,27 @@ def test_phi_memory_is_bounded(monkeypatch):
 def test_point_paths_are_the_one_row_paths():
     # one call over a row a column builds, column by column, the path of
     # that column's own call, padded above with its y_top: above and
-    # below the knee, at it, and down to subnormal rows
+    # below the knee, at it, and down to subnormal rows, at either density
     rng = np.random.default_rng(5)
     knee = 3e-4
     ys = np.concatenate((10.0 ** rng.uniform(-320.0, 3.0, 300),
                          [knee, 1e-4, 0.1, 5e-324]))
     tops = np.maximum(2.0 * ys, 10.0 ** rng.uniform(1.0, 4.0, ys.size))
-    got, rows = _paths(tops, ys[None, :], knee)
-    assert got.shape[1] == ys.size and np.array_equal(rows, [len(got) - 1])
-    for j in range(ys.size):
-        want, idx = _paths(tops[j:j + 1], ys[None, j:j + 1], knee)
-        pad = len(got) - len(want)
-        assert np.array_equal(idx, [len(want) - 1])
-        assert np.array_equal(got[pad:, j], want[:, 0])
-        assert np.all(got[:pad, j] == tops[j])
+    for steps in (6, 24):
+        got, rows, watch = _paths(tops, ys[None, :], knee, steps)
+        assert got.shape[1] == ys.size
+        assert np.array_equal(rows, [len(got) - 1])
+        for j in range(ys.size):
+            want, idx, own = _paths(tops[j:j + 1], ys[None, j:j + 1], knee,
+                                    steps)
+            pad = len(got) - len(want)
+            assert np.array_equal(idx, [len(want) - 1])
+            assert np.array_equal(got[pad:, j], want[:, 0])
+            assert np.all(got[:pad, j] == tops[j])
+            # the call watches the steps each column's own call watches
+            if own.start < own.stop:
+                assert watch.start <= own.start + pad
+                assert own.stop + pad <= watch.stop
 
 
 def test_empty_arrays_give_empty_arrays():
@@ -587,12 +594,15 @@ def test_phi_boundary_near_axis_alpha2():
 
 
 def test_path_passes_through_the_rows():
-    # the continuation's path: the caller's rows exactly, no step wider
-    # than 1/24 decade above the knee; subnormal rows, whose ratio to y_top
-    # overflows, too; one column, a ladder
-    def ladder(top, ys, knee):
-        path, idx = _paths(np.array([top]), np.reshape(ys, (-1, 1)), knee)
-        return path[:, 0], idx
+    # the continuation's paths: the caller's rows exactly, no step wider
+    # than 1/6 decade above the knee on the coarse path or 1/24 decade on
+    # the dense one, and every coarse step wider than 1/24 decade there
+    # watched; subnormal rows, whose ratio to y_top overflows, too; one
+    # column, a ladder
+    def ladder(top, ys, knee, steps):
+        path, idx, watch = _paths(np.array([top]), np.reshape(ys, (-1, 1)),
+                                  knee, steps)
+        return path[:, 0], idx, watch
 
     rng = np.random.default_rng(5)
     tiny = 5e-324  # a knee at or below every row: dense all the way
@@ -603,44 +613,59 @@ def test_path_passes_through_the_rows():
         if k < 4:
             rows[0] = (1e-310, 5e-324, 2.2e-308, 1e-300)[k]
         ys = np.unique(rows)[::-1]
-        path, idx = ladder(top, ys, tiny)
-        assert path[0] == top and np.array_equal(path[idx], ys)
-        # subnormal path points may round to equal values
-        assert np.all(np.diff(path) <= 0.0)
-        steps = -np.diff(np.log10(path[path > 1e-300]))
-        assert np.max(steps) <= (1.0 + 1e-9) / 24.0
-        # below a knee inside the rows, half a decade a step at most
         knee = 10.0 ** rng.uniform(-300.0, np.log10(top))
-        path, idx = ladder(top, ys, knee)
-        assert path[0] == top and np.array_equal(path[idx], ys)
-        logs = np.log10(path[path > 1e-300])
-        steps = -np.diff(logs)
-        above = logs[1:] >= np.log10(knee)
-        assert np.max(steps[above], initial=0.0) <= (1.0 + 1e-9) / 24.0
-        assert np.max(steps) <= (1.0 + 1e-9) / 2.0
+        for steps in (6, 24):
+            path, idx, watch = ladder(top, ys, tiny, steps)
+            assert path[0] == top and np.array_equal(path[idx], ys)
+            # subnormal path points may round to equal values
+            assert np.all(np.diff(path) <= 0.0)
+            big = np.log10(path[path > 1e-300])
+            assert np.max(-np.diff(big)) <= (1.0 + 1e-9) / steps
+            # below a knee inside the rows, half a decade a step at most
+            path, idx, watch = ladder(top, ys, knee, steps)
+            assert path[0] == top and np.array_equal(path[idx], ys)
+            logs = np.log10(path[path > 1e-300])
+            gaps = -np.diff(logs)
+            above = logs[1:] >= np.log10(knee)
+            assert np.max(gaps[above], initial=0.0) <= (1.0 + 1e-9) / steps
+            assert np.max(gaps) <= (1.0 + 1e-9) / 2.0
+            wide = np.flatnonzero(above & (gaps > (1.0 + 1e-9) / 24.0))
+            assert np.all((watch.start <= wide) & (wide < watch.stop))
+            if steps == 24:
+                assert watch.start >= watch.stop  # nothing to watch
     # a start on the first row: a gap of length 0 is one step, and a
     # one-row path is that row twice
     for top in (1e-300, 0.3, 7.0, 1e300):
         for knee in (tiny, top, 1e305):
-            path, idx = ladder(top, np.array([top]), knee)
+            path, idx, _ = ladder(top, np.array([top]), knee, 6)
             assert np.array_equal(path, [top, top]) and idx.tolist() == [1]
             ys = np.array([top, top / 3.0])
-            path, idx = ladder(top, ys, knee)
+            path, idx, _ = ladder(top, ys, knee, 6)
             assert path[0] == top and np.array_equal(path[idx], ys)
             assert idx[0] == 1
-    # rows that are already dense get no points between them
+    # rows that are already dense get no points between them, and steps
+    # that match the dense path are not watched
     ys = np.geomspace(10.0, 1e-6, 200)
-    path, idx = ladder(20.0, ys, tiny)
-    assert np.array_equal(idx, np.arange(8, 208))  # 8 steps down to 10
+    for steps in (6, 24):
+        path, idx, watch = ladder(20.0, ys, tiny, steps)
+        top = {6: 2, 24: 8}[steps]  # steps from 20 down to 10
+        assert np.array_equal(idx, np.arange(top, top + 200))
+        assert watch.stop <= top
     # rows an ulp apart share a log10 and still get a step of their own
     ys = np.array([1e300, np.nextafter(1e300, 0.0), 1e299])
-    path, idx = ladder(1.5e307, ys, tiny)
+    path, idx, _ = ladder(1.5e307, ys, tiny, 6)
     assert np.array_equal(path[idx], ys) and idx[1] == idx[0] + 1
-    # two rows far below the knee: 24 a decade down to it, 2 below
-    path, idx = ladder(10.0, np.array([2e-13, 1e-13]), 1e-6)
-    assert np.array_equal(path[idx], [2e-13, 1e-13])
-    assert np.count_nonzero(path >= 1e-6) == 24 * 7 + 1
-    assert idx[0] == 24 * 7 + 14 and idx[1] == idx[0] + 1
+    # two rows far below the knee: 24 or 6 a decade down to it, 2 below
+    for steps in (6, 24):
+        path, idx, watch = ladder(10.0, np.array([2e-13, 1e-13]), 1e-6,
+                                  steps)
+        assert np.array_equal(path[idx], [2e-13, 1e-13])
+        assert np.count_nonzero(path >= 1e-6) == steps * 7 + 1
+        assert idx[0] == steps * 7 + 14 and idx[1] == idx[0] + 1
+        if steps == 6:  # the 42 steps down to the knee
+            assert (watch.start, watch.stop) == (0, 42)
+        else:
+            assert watch.start >= watch.stop
 
 
 def _reads_alike(alpha, s, r, xs, ladder):
@@ -673,20 +698,80 @@ def test_knee_matches_dense_rows():
         _reads_alike(alpha, s, r, np.linspace(xmin, xmax, 201), dense)
 
 
+# members with alpha > 1, r = 2, E zeros in C+, non-integer alpha and r,
+# and the beta line
+_PATH_MEMBERS = ((1.7, 1.0, 4.0), (1.3, np.exp(1j * np.pi / 6), 2.5),
+                 (2.0, 1.0, 2.0), (0.5, -1.0, 2.0), (1.0, -1.0, 1.5),
+                 (1.5, np.exp(0.3j), 2.5), (1.0, -1.0, 2.0),
+                 (0.7, np.exp(0.8j * np.pi), 1.7), (1.0, 3j, 3.0),
+                 (0.5, np.exp(2j * np.pi / 3), 3.0), (1.0, -3.0, 3.0),
+                 (1.8, np.exp(0.1j * np.pi), 2.6))
+
+
 def test_phi_does_not_depend_on_the_path():
     # a row's value is its point's and the sheets of w2 and w4 alone: rows
     # 37 a decade from 10 down, a path other than the default one through
-    # the read heights, give phi bit for bit, over members with alpha > 1,
-    # r = 2, E zeros in C+, non-integer alpha and r, and the beta line
+    # the read heights, give phi bit for bit
     ladder = np.append(np.geomspace(10.0, 2e-13, 508), 1e-13)
-    for alpha, s, r in ((1.7, 1.0, 4.0), (1.3, np.exp(1j * np.pi / 6), 2.5),
-                        (2.0, 1.0, 2.0), (0.5, -1.0, 2.0), (1.0, -1.0, 1.5),
-                        (1.5, np.exp(0.3j), 2.5), (1.0, -1.0, 2.0),
-                        (0.7, np.exp(0.8j * np.pi), 1.7), (1.0, 3j, 3.0),
-                        (0.5, np.exp(2j * np.pi / 3), 3.0), (1.0, -3.0, 3.0),
-                        (1.8, np.exp(0.1j * np.pi), 2.6)):
+    for alpha, s, r in _PATH_MEMBERS:
         xmin, xmax, _, _ = default_fid_rect(FamilyParams(alpha, s, r))
         _reads_alike(alpha, s, r, np.linspace(xmin, xmax, 2001), ladder)
+
+
+def test_coarse_path_rewalks_the_columns_that_turn(monkeypatch):
+    # at 2 steps a decade above the knee, coarser than the default 6, the
+    # read heights still give the values of the dense path's own rows
+    # handed in as a ladder, bit for bit: a column that a coarse step turns
+    # walks the dense path again, and some columns do
+    built = []
+    paths = family._paths
+
+    def spy(y_top, ys, knee, per_decade):
+        built.append(per_decade)
+        return paths(y_top, ys, knee, per_decade)
+
+    for alpha, s, r in _PATH_MEMBERS:
+        xmin, xmax, _, _ = default_fid_rect(FamilyParams(alpha, s, r))
+        scale = max(1.0, abs(s) ** (1.0 / alpha),
+                    abs(s / r) ** (1.0 / alpha)) * max(1.0, r, 1.0 / r)
+        top = max(10.0 * scale, 1.5 * max(-xmin, xmax))
+        dense, _, _ = paths(np.array([top]), np.array([[2e-13], [1e-13]]),
+                            1e-4 * scale, family._PATH_STEPS)
+        with monkeypatch.context() as m:
+            m.setattr(family, "_COARSE_STEPS", 2)
+            m.setattr(family, "_paths", spy)
+            _reads_alike(alpha, s, r, np.linspace(xmin, xmax, 2001),
+                         dense[:, 0])
+    assert family._PATH_STEPS in built
+
+
+def test_dense_path_is_built_once_across_threads(monkeypatch):
+    # the blocks of a wide read on more pool threads than CPUs, switching
+    # often, turn columns in several blocks: they share one dense path,
+    # built once, and give the one-thread values bit for bit
+    xs, heights = np.linspace(-5.0, 5.0, 4000), [2e-13, 1e-13]
+    monkeypatch.setenv("FREECONV_THREADS", "1")
+    want, ok_want = _phi_tracked_block(2.0, 1.0, 3.0, xs, heights)
+    built = []
+    paths = family._paths
+
+    def spy(y_top, ys, knee, per_decade):
+        built.append(per_decade)
+        return paths(y_top, ys, knee, per_decade)
+
+    monkeypatch.setattr(family, "_paths", spy)
+    monkeypatch.setattr(family, "_thread_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            built.clear()
+            got, ok = _phi_tracked_block(2.0, 1.0, 3.0, xs, heights)
+            assert built.count(family._PATH_STEPS) == 1
+            assert np.array_equal(ok, ok_want)
+            assert np.array_equal(got, want)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_phi_boundary_rejects_bad_ladder():

@@ -232,7 +232,8 @@ def test_fid_scan_keeps_masks_not_phi(member, monkeypatch):
 
 def test_pool_is_kept_across_calls(monkeypatch):
     # a pool per call would start new threads, each free to take a new
-    # malloc arena; the kept pool runs every call on the same workers
+    # malloc arena; the kept pool runs every call on the same workers.  The
+    # scan spans two blocks on the coarse path too, so it reaches the pool
     seen = set()
     chain = family._chain
 
@@ -242,7 +243,7 @@ def test_pool_is_kept_across_calls(monkeypatch):
 
     monkeypatch.setattr(family, "_thread_count", lambda: 2)
     monkeypatch.setattr(family, "_chain", spy)
-    grid = (np.linspace(-4.0, 4.0, 400), np.geomspace(4.0, 1e-6, 60))
+    grid = (np.linspace(-4.0, 4.0, 800), np.geomspace(4.0, 1e-6, 60))
     wide = 1j + np.linspace(-4.0, 4.0, 3 * family._BLOCK_POINTS)
     for _ in range(4):
         family._phi_tracked_block(1.0, -1.0, 2.0, *grid)
@@ -475,10 +476,15 @@ def test_tau_values():
 
 def test_tau_atom_at_zero_keeps_no_step_bias():
     # read off F^-1 = phi + z: phi's -z term alone left -2y**2 = -2e-12
-    for member in ((1.0, 3j, 3.0), (2.0, 1.0, 2.0), (1.0, -1.0, 1.5),
-                   (1.0, -1.0, 2.0), (1.0, 1j, 2.0), (0.5, -1.0, 2.0),
-                   (1.7, 1.0, 4.0)):
-        assert abs(tau_atom(FamilyParams(*member), 0.0)) <= 1e-14, member
+    # under a linear step, and r = 1, where F^-1(z) = z, left +2y**2; the
+    # step through y, 2y and 4y removes the O(y**2) term too, also off
+    # x = 0, where (1, -1, 2) has no atom
+    for member, x in (((1.0, 3j, 3.0), 0.0), ((2.0, 1.0, 2.0), 0.0),
+                      ((1.0, -1.0, 1.5), 0.0), ((1.0, -1.0, 2.0), 0.0),
+                      ((1.0, 1j, 2.0), 0.0), ((0.5, -1.0, 2.0), 0.0),
+                      ((1.7, 1.0, 4.0), 0.0), ((1.0, -1.0, 1.0), 0.0),
+                      ((1.0, -1.0, 2.0), 0.1)):
+        assert abs(tau_atom(FamilyParams(*member), x)) <= 1e-14, member
 
 
 def test_levy_triplet_cubic():
